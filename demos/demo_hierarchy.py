@@ -36,7 +36,7 @@ print("hier examined", rh.records_examined, "records")
 print("same answer:", rf.record == rh.record)
 
 # How much structure got built? Every bin whose list outgrew the
-# threshold owns a nested index.
+# threshold owns a child grid level.
 print("sub-grids at the top level:", len(hier.sub_indexes))
 
 # leaf_occupancies flattens the whole tree: one (rect, ids) pair per

@@ -26,7 +26,6 @@ from .sources import (
     Record,
     RecordId,
     SubGridSource,
-    compute_extents,
     load_points,
     save_points,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "bin_center",
     "bounding_extents",
     "colorize",
-    "compute_extents",
     "default_smallest_dimension",
     "dist_sq",
     "dist_to_bin_boundary",

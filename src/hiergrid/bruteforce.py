@@ -113,8 +113,8 @@ def oracle_quadtree(
     floor, the box splits 2x2 at its center and the points recurse into
     quadrants; otherwise the node is a leaf. Quadrant membership follows
     resolve_bin (max boundary clamps inward), and each recursive level
-    re-tightens to its own subset's box, mirroring how sub-grid proxies
-    recompute their extents. Leaves are (quadrant rectangle, ids) in
+    re-tightens to its own subset's box, mirroring how child grid
+    levels recompute their extents. Leaves are (quadrant rectangle, ids) in
     deterministic row-major order; empty quadrants produce no leaf.
     """
     if len(points) == 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 # Absolute inflation applied per degenerate extents axis so bin sizes are
@@ -101,41 +102,53 @@ class GridShape:
             # callers inflate degenerate extents before building a shape
             raise ValueError("grid extents must have positive width and height")
 
-    @property
+    # cached: resolve_bin reads both on every query and every rendered record
+    @cached_property
     def bin_width(self) -> float:
         return self.extents.width / self.divisions_x
 
-    @property
+    @cached_property
     def bin_height(self) -> float:
         return self.extents.height / self.divisions_y
 
     def bin_rect(self, c: BinCoord) -> Extents:
-        """World-coordinate rectangle of bin c (edges at min + k * bin_size)."""
+        """World-coordinate rectangle of bin c: edges at min + k * bin_size,
+        except that the last column and row close at the extents' max,
+        which min + n * bin_size can fall an ulp short of."""
         bw, bh = self.bin_width, self.bin_height
-        x0 = self.extents.min.x
-        y0 = self.extents.min.y
-        return Extents(
-            Point2D(x0 + c.i * bw, y0 + c.j * bh),
-            Point2D(x0 + (c.i + 1) * bw, y0 + (c.j + 1) * bh),
-        )
+        ext = self.extents
+        x0, y0 = ext.min.x, ext.min.y
+        x1 = ext.max.x if c.i == self.divisions_x - 1 else x0 + (c.i + 1) * bw
+        y1 = ext.max.y if c.j == self.divisions_y - 1 else y0 + (c.j + 1) * bh
+        return Extents(Point2D(x0 + c.i * bw, y0 + c.j * bh), Point2D(x1, y1))
 
 
 def resolve_bin(p: Point2D, shape: GridShape) -> Optional[BinCoord]:
     """Bin containing p, or None when p is strictly outside the extents.
 
     Points on the max boundary clamp into the last bin so records at the
-    extent corner stay indexable.
+    extent corner stay indexable. The result's bin_rect always contains p.
     """
     ext = shape.extents
     if not (ext.min.x <= p.x <= ext.max.x and ext.min.y <= p.y <= ext.max.y):
         return None
-    i = int((p.x - ext.min.x) / shape.bin_width)
-    j = int((p.y - ext.min.y) / shape.bin_height)
-    if i >= shape.divisions_x:
-        i = shape.divisions_x - 1
-    if j >= shape.divisions_y:
-        j = shape.divisions_y - 1
-    return BinCoord(i, j)
+    return BinCoord(
+        _axis_bin(p.x, ext.min.x, shape.bin_width, shape.divisions_x),
+        _axis_bin(p.y, ext.min.y, shape.bin_height, shape.divisions_y),
+    )
+
+
+def _axis_bin(v: float, lo: float, size: float, n: int) -> int:
+    """Bin of v along one axis by division, moved one bin when v lies
+    strictly outside the edges bin_rect computes (an ulp-scale miss)."""
+    k = int((v - lo) / size)
+    if k >= n:
+        k = n - 1
+    if v < lo + k * size:
+        k -= 1
+    elif k < n - 1 and v > lo + (k + 1) * size:
+        k += 1
+    return k
 
 
 def neighborhood(c: BinCoord, n: int, shape: GridShape) -> list[BinCoord]:
@@ -202,9 +215,9 @@ def default_smallest_dimension(extents: Extents) -> float:
 def bounding_extents(points) -> Extents:
     """Tight bounding box of (x, y) pairs, inflated on degenerate axes.
 
-    This is the shared definition of index extents: the grid index, the
-    proxy sub-sources and the reference quad tree all derive their
-    rectangles from it.
+    This is the shared definition of index extents: point collections, the
+    proxy sub-source and the reference quad tree derive their rectangles
+    from it, and child grid levels take the same min/max box.
     """
     it = iter(points)
     try:

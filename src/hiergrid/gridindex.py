@@ -4,8 +4,9 @@ Records are rendered into a grid of id lists (the rendered grid, nulls where
 empty), every empty bin is then redirected to the list holding the record
 nearest its center (the filled grid), and nearest queries scan the query
 point's bin plus, when the home-bin short circuit does not fire, its
-1-neighborhood. Rebuilds run an 11-step pipeline with two overridable hooks
-(steps 6 and 10) that the hierarchical index plugs into.
+1-neighborhood. A rebuild fetches every record once into one positions
+array and builds the root level from it; the hierarchical index builds the
+child levels of overfull bins with the same level builder.
 """
 from __future__ import annotations
 
@@ -39,26 +40,26 @@ class OutsideExtentsError(ValueError):
 class BinList:
     """One bin's ordered list of record ids.
 
-    Identity-based: the registry, the filled grid and sub-grid proxies all
-    share these objects by reference, and scan dedup compares identity, not
-    content. Ids stay unique (a record enters a given bin once) and
-    ascending, because rendering iterates record ids in order.
+    Identity-based: the registry, the filled grid and the child-level map
+    all share these objects by reference, and scan dedup compares identity,
+    not content. Ids stay unique (a record enters a given bin once) and
+    ascending, because rendering iterates record ids in order; a repeated
+    id can therefore only be the last one.
     """
 
-    __slots__ = ("ids", "_members", "ids_arr", "xs", "ys", "triples")
+    __slots__ = ("ids", "ids_arr", "xs", "ys", "triples")
 
     def __init__(self) -> None:
         self.ids: list[RecordId] = []
-        self._members: set[RecordId] = set()
         self.ids_arr: np.ndarray | None = None
         self.xs: np.ndarray | None = None
         self.ys: np.ndarray | None = None
         self.triples: list[tuple[int, float, float]] | None = None
 
     def append(self, rid: RecordId) -> None:
-        if rid not in self._members:
-            self._members.add(rid)
-            self.ids.append(rid)
+        ids = self.ids
+        if not ids or ids[-1] != rid:
+            ids.append(rid)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -236,11 +237,11 @@ class _Best:
 
 
 class _BuiltState:
-    """Everything one rebuild produces, swapped in atomically.
+    """One grid level; the root level is swapped in atomically.
 
-    Queries read a single reference to this object, so a concurrent rebuild
-    never exposes a partially built grid. The sub_* fields stay empty for
-    the flat index; the hierarchical subclass fills them in its hooks.
+    Every level of a build shares the root's positions array and holds root
+    record ids. children maps an overfull list to its child level, and
+    child_table holds each bin's child level, or is None when there are none.
     """
 
     __slots__ = (
@@ -248,29 +249,42 @@ class _BuiltState:
         "rendered",
         "filled",
         "positions",
+        "depth",
+        "version",
+        "size_floor",
         "border_coords",
         "border_ids",
         "border_xs",
         "border_ys",
-        "sub_table",
-        "subs_by_list",
-        "sub_indexes",
-        "size_floor",
+        "children",
+        "child_table",
     )
 
-    def __init__(self, shape: GridShape) -> None:
+    def __init__(
+        self,
+        shape: GridShape,
+        positions: np.ndarray,
+        depth: int = 0,
+        size_floor: float | None = None,
+    ) -> None:
         self.shape = shape
         self.rendered = RenderedGrid(shape)
         self.filled: FilledGrid | None = None
-        self.positions: np.ndarray | None = None
+        self.positions = positions
+        self.depth = depth
+        self.version: int | None = None
+        self.size_floor = size_floor
         self.border_coords: list[BinCoord] = []
         self.border_ids: np.ndarray | None = None
         self.border_xs: np.ndarray | None = None
         self.border_ys: np.ndarray | None = None
-        self.sub_table: list | None = None
-        self.subs_by_list: dict = {}
-        self.sub_indexes: list = []
-        self.size_floor: float | None = None
+        self.children: dict[BinList, _BuiltState] = {}
+        self.child_table: list[_BuiltState | None] | None = None
+
+    @property
+    def sub_indexes(self) -> list["_BuiltState"]:
+        """Child levels, in rendered-registry order."""
+        return list(self.children.values())
 
 
 def _clamp(v: int, lo: int, hi: int) -> int:
@@ -299,33 +313,13 @@ def _scan_list(lst: BinList, qx: float, qy: float, best: _Best) -> None:
         best.offer(m, int(lst.ids_arr[k]))
 
 
-def _list_min(lst: BinList, qx: float, qy: float) -> tuple[float, int]:
-    """(squared distance, id) of the list member nearest (qx, qy)."""
-    triples = lst.triples
-    if triples is not None:
-        bd = math.inf
-        br = -1
-        for rid, x, y in triples:
-            dx = x - qx
-            dy = y - qy
-            d2 = dx * dx + dy * dy
-            if d2 < bd:
-                bd = d2
-                br = rid
-        return bd, br
-    dx = lst.xs - qx
-    dy = lst.ys - qy
-    d2 = dx * dx + dy * dy
-    k = int(d2.argmin())
-    return float(d2[k]), int(lst.ids_arr[k])
-
-
 class GridIndex:
     """Fixed-divisions grid index over an IndexableSource of point records.
 
-    Built lazily: any query first checks the source's changed flag and
-    rebuilds if needed. A built index is immutable; concurrent queries are
-    safe, and rebuilds swap the whole built state in one assignment.
+    Built lazily: any query first compares the source's version with the
+    one the built state was read from, and rebuilds if they differ. A built
+    index is immutable; concurrent queries are safe, and rebuilds swap the
+    whole built state in one assignment.
     """
 
     def __init__(self, source: IndexableSource, divisions_x: int, divisions_y: int) -> None:
@@ -359,58 +353,72 @@ class GridIndex:
 
     def ensure_built(self) -> _BuiltState:
         state = self._state
-        if state is not None and not self._source.changed:
+        if state is not None and state.version == self._source.version:
             return state
         with self._lock:
-            if self._state is None or self._source.changed:
+            if self._state is None or self._state.version != self._source.version:
                 self.rebuild()
             return self._state
 
     def rebuild(self) -> None:
-        """Run the full rebuild pipeline and swap in the new state.
+        """Fetch every record once, build the root level and swap it in.
 
-        Steps, in order: 1 fetch extents, 2 fetch record count, 3-4 fresh
-        registry and bins, 5 bin sizes, 6 pre-hook, 7 render records,
-        8 shallow-copy to the filled grid, 9 gap fill, 10 post-hook,
-        11 clear the source's changed flag.
+        The root level records the source version read before fetching, so
+        a mutation that lands during the rebuild triggers the next one. The
+        source's changed flag is cleared only when no mutation landed.
         """
         source = self._source
-        if source.record_count < 1:  # step 2 precondition, checked up front
+        version = source.version
+        n = source.record_count
+        if n < 1:
             raise EmptySourceError("cannot build an index over an empty source")
-        extents = source.data_extents.inflated_if_degenerate()  # step 1
-        n = source.record_count  # step 2
-        shape = GridShape(self.divisions_x, self.divisions_y, extents)  # steps 3-5
-        state = _BuiltState(shape)
-        self._on_before_rebuild(state)  # step 6
-        self._render_records(state, n)  # step 7
-        for lst in state.rendered.registry:
-            lst.freeze(state.positions)
-        filled_bins = list(state.rendered._bins)  # step 8, same identities
-        self._fill_gaps(state, filled_bins)  # step 9
-        state.filled = FilledGrid(shape, filled_bins)
-        self._prepare_border(state)
-        self._on_after_rebuilt(state)  # step 10
-        self._state = state
-        source.changed = False  # step 11
-
-    def _on_before_rebuild(self, state: _BuiltState) -> None:
-        """Step 6 hook; the base index has nothing to reset."""
-
-    def _on_after_rebuilt(self, state: _BuiltState) -> None:
-        """Step 10 hook; the hierarchical index subdivides here."""
-
-    def _render_records(self, state: _BuiltState, n: int) -> None:
-        """Fetch every record once (one scratch object) and render it."""
-        source = self._source
+        extents = source.data_extents.inflated_if_degenerate()
         scratch = source.new_scratch()
         positions = np.empty((n, 2), dtype=np.float64)
-        rendered = state.rendered
         for rid in range(n):
             rec = source.fetch(rid, scratch)
             positions[rid, 0] = rec.x
             positions[rid, 1] = rec.y
-            rendered.render_point(rid, Point2D(rec.x, rec.y))
-        state.positions = positions
+        state = self._build_level(positions, range(n), extents)
+        state.version = version
+        self._state = state
+        if source.version == version:
+            source.changed = False
+
+    def _build_level(
+        self,
+        positions: np.ndarray,
+        ids,
+        extents: Extents,
+        depth: int = 0,
+        size_floor: float | None = None,
+    ) -> _BuiltState:
+        """Build one grid level over the records `ids` (ascending root ids)
+        within `extents`: render, freeze, gap fill, border prep, then the
+        after-rebuild hook."""
+        shape = GridShape(self.divisions_x, self.divisions_y, extents)
+        state = _BuiltState(shape, positions, depth, size_floor)
+        self._render_records(state, ids)
+        for lst in state.rendered.registry:
+            lst.freeze(positions)
+        filled_bins = list(state.rendered._bins)  # same identities
+        self._fill_gaps(state, filled_bins)
+        state.filled = FilledGrid(shape, filled_bins)
+        self._prepare_border(state)
+        self._on_after_rebuilt(state)
+        return state
+
+    def _on_after_rebuilt(self, state: _BuiltState) -> None:
+        """Runs last for every level built; the hierarchical index
+        subdivides here."""
+
+    def _render_records(self, state: _BuiltState, ids) -> None:
+        """Render each record of `ids` at its fetched position."""
+        rendered = state.rendered
+        # two flat float lists build faster than one (x, y) list per record
+        xs, ys = state.positions[ids].T.tolist()
+        for rid, x, y in zip(ids, xs, ys):
+            rendered.render_point(rid, Point2D(x, y))
 
     def _fill_gaps(self, state: _BuiltState, bins: list) -> None:
         """Point every empty bin at the list holding the record nearest its
@@ -427,13 +435,12 @@ class GridIndex:
             c = BinCoord(flat % nx, flat // nx)
             center = bin_center(c, shape)
             cx, cy = center.x, center.y
-            best_d2 = math.inf
-            best_rid = -1
+            best = _Best()
             best_list = None
             for ring in range(1, max_ring + 1):
                 if best_list is not None:
                     reach = (ring - 0.5) * min_dim
-                    if reach * reach > best_d2:
+                    if reach * reach > best.d2:
                         break
                 coords = neighborhood(c, ring, shape)
                 if not coords:
@@ -442,10 +449,9 @@ class GridIndex:
                     cand = rendered.at(nc)
                     if cand is None:
                         continue
-                    d2, rid = _list_min(cand, cx, cy)
-                    if d2 < best_d2 or (d2 == best_d2 and rid < best_rid):
-                        best_d2 = d2
-                        best_rid = rid
+                    rid = best.rid
+                    _scan_list(cand, cx, cy, best)
+                    if best.rid != rid:  # each record sits in one list
                         best_list = cand
             bins[flat] = best_list
 

@@ -1,15 +1,14 @@
-"""Hierarchical grid index: overfull bins get their own sub-index.
+"""Hierarchical grid index: overfull bins get their own child grid level.
 
-After the base rebuild, every unique bin list holding more than
-max_bin_records records is re-indexed by a child HierGridIndex built over a
-SubGridSource proxy (tight bounding extents, no copied payloads), recursing
+After a level is built, every unique bin list holding more than
+max_bin_records records gets a child level, built by the same level builder
+over that list's root record ids on their tight bounding box, recursing
 until lists are small enough or bins reach the minimum dimension. Queries
 landing in a subdivided bin are delegated; neighborhood and border scans
-consult sub-indexes instead of scanning raw lists.
+consult child levels instead of scanning raw lists.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,37 +19,30 @@ from .geometry import (
     default_smallest_dimension,
 )
 from .gridindex import BinList, GridIndex, _Best, _BuiltState, _scan_list
-from .sources import IndexableSource, RecordId, SubGridSource
+from .sources import IndexableSource, RecordId
 
 
 @dataclass(frozen=True)
 class HierConfig:
-    """Subdivision policy.
+    """Subdivision policy; child levels use the root's divisions.
 
     max_bin_records: bins holding more than this subdivide.
     smallest_bin_dimension: bins this narrow or flat never subdivide; None
         resolves once, at the root rebuild, to a data-diagonal-scaled value.
-    sub_divisions: grid divisions for child indexes; None inherits the
-        parent's divisions.
     """
 
     max_bin_records: int
     smallest_bin_dimension: Optional[float] = None
-    sub_divisions: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.max_bin_records < 1:
             raise ValueError(f"max_bin_records must be >= 1, got {self.max_bin_records}")
         if self.smallest_bin_dimension is not None and not (self.smallest_bin_dimension > 0):
             raise ValueError("smallest_bin_dimension must be positive")
-        if self.sub_divisions is not None:
-            sx, sy = self.sub_divisions
-            if sx < 1 or sy < 1 or sx * sy < 2:
-                raise ValueError(f"sub_divisions must cover >= 2 bins, got {self.sub_divisions}")
 
 
 class HierGridIndex(GridIndex):
-    """Grid index whose overfull bins recurse into child grid indexes."""
+    """Grid index whose overfull bins recurse into child grid levels."""
 
     def __init__(
         self,
@@ -58,91 +50,78 @@ class HierGridIndex(GridIndex):
         divisions_x: int,
         divisions_y: int,
         config: HierConfig,
-        *,
-        _is_sub: bool = False,
-        _size_floor: Optional[float] = None,
     ) -> None:
         if divisions_x * divisions_y < 2:
             raise ValueError("a hierarchical grid needs at least 2 bins per level")
         super().__init__(source, divisions_x, divisions_y)
         self.config = config
-        self._is_sub = _is_sub
-        self._size_floor = _size_floor
 
-    # -- rebuild hooks -------------------------------------------------------
-
-    def _on_before_rebuild(self, state: _BuiltState) -> None:
-        state.sub_indexes = []
-        state.subs_by_list = {}
-        state.sub_table = [None] * (self.divisions_x * self.divisions_y)
+    # -- subdivision ---------------------------------------------------------
 
     def _on_after_rebuilt(self, state: _BuiltState) -> None:
         cfg = self.config
-        floor = self._size_floor
-        if floor is None:
-            floor = (
+        if state.size_floor is None:  # the root level
+            state.size_floor = (
                 cfg.smallest_bin_dimension
                 if cfg.smallest_bin_dimension is not None
                 else default_smallest_dimension(state.shape.extents)
             )
-        state.size_floor = floor
+        floor = state.size_floor
         shape = state.shape
-        if shape.bin_width > floor and shape.bin_height > floor:
-            sdx, sdy = cfg.sub_divisions if cfg.sub_divisions is not None else (
-                self.divisions_x,
-                self.divisions_y,
+        if not (shape.bin_width > floor and shape.bin_height > floor):
+            return
+        positions = state.positions
+        for lst in state.rendered.registry:
+            if len(lst) <= cfg.max_bin_records:
+                continue
+            pts = positions[lst.ids_arr]
+            lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+            extents = Extents(Point2D(*lo), Point2D(*hi)).inflated_if_degenerate()
+            state.children[lst] = self._build_level(
+                positions, lst.ids, extents, state.depth + 1, floor
             )
-            for lst in state.rendered.registry:
-                if len(lst) <= cfg.max_bin_records:
-                    continue
-                sub_source = SubGridSource(self._source, lst.ids)
-                sub = HierGridIndex(
-                    sub_source, sdx, sdy, cfg, _is_sub=True, _size_floor=floor
-                )
-                sub.rebuild()
-                state.sub_indexes.append(sub)
-                state.subs_by_list[lst] = sub
-        if state.subs_by_list:
-            table = state.sub_table
-            for flat, lst in enumerate(state.filled.flat):
-                table[flat] = state.subs_by_list.get(lst)
+        if state.children:
+            state.child_table = [state.children.get(lst) for lst in state.filled.flat]
 
     # -- inspection ----------------------------------------------------------
 
     @property
-    def sub_indexes(self) -> list["HierGridIndex"]:
-        return list(self.ensure_built().sub_indexes)
+    def sub_indexes(self) -> list[_BuiltState]:
+        """The root's child levels."""
+        return self.ensure_built().sub_indexes
 
-    def sub_at(self, c: BinCoord) -> Optional["HierGridIndex"]:
-        state = self.ensure_built()
-        return state.sub_table[c.j * self.divisions_x + c.i]
+    def sub_at(self, c: BinCoord) -> Optional[_BuiltState]:
+        """The child level bin c delegates to, if any."""
+        table = self.ensure_built().child_table
+        return None if table is None else table[c.j * self.divisions_x + c.i]
 
     def leaf_occupancies(self) -> list[tuple[Extents, tuple[RecordId, ...]]]:
         """(bin rectangle, ascending root record ids) for every occupied
         leaf bin, i.e. every rendered bin that was not subdivided."""
-        state = self.ensure_built()
         out: list[tuple[Extents, tuple[RecordId, ...]]] = []
-        self._collect_leaves(state, out, None)
-        return out
 
-    def _collect_leaves(self, state, out, id_map) -> None:
-        for lst, coord in state.rendered.registry.items():
-            sub = state.subs_by_list.get(lst)
-            mapped = lst.ids if id_map is None else [id_map[r] for r in lst.ids]
-            if sub is None:
-                out.append((state.shape.bin_rect(coord), tuple(sorted(mapped))))
-            else:
-                sub._collect_leaves(sub.ensure_built(), out, mapped)
+        def collect(state: _BuiltState) -> None:
+            for lst, coord in state.rendered.registry.items():
+                child = state.children.get(lst)
+                if child is None:
+                    out.append((state.shape.bin_rect(coord), tuple(lst.ids)))
+                else:
+                    collect(child)
+
+        collect(self.ensure_built())
+        return out
 
     # -- queries -------------------------------------------------------------
 
     def _inside_search(
         self, state: _BuiltState, q: Point2D, c: BinCoord, best: _Best, bound_d2: float
     ) -> bool:
-        sub = state.sub_table[c.j * self.divisions_x + c.i]
-        if sub is not None:
-            self._delegate(sub, q, best, bound_d2)
-            return False
+        table = state.child_table
+        if table is not None:
+            child = table[c.j * state.shape.divisions_x + c.i]
+            if child is not None:
+                self._delegate(child, q, best, bound_d2)
+                return False
         return super()._inside_search(state, q, c, best, bound_d2)
 
     def _consult(
@@ -154,34 +133,33 @@ class HierGridIndex(GridIndex):
         best: _Best,
         bound_d2: float,
     ) -> None:
-        sub = state.subs_by_list.get(lst)
-        if sub is None:
+        child = state.children.get(lst)
+        if child is None:
             _scan_list(lst, q.x, q.y, best)
         else:
-            self._delegate(sub, q, best, bound_d2)
+            self._delegate(child, q, best, bound_d2)
 
-    def _delegate(self, sub: "HierGridIndex", q: Point2D, best: _Best, bound_d2: float) -> None:
-        """Run the query in a child index, then translate its local winner
-        into this index's id space before comparing."""
+    def _delegate(self, child: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
+        """Run the query in a child level with its own running best, whose
+        short circuit and border pruning see only the child's candidates,
+        then offer the child's winner here."""
         local = _Best()
-        sub_state = sub.ensure_built()
-        sub._search(sub_state, q, local, min(bound_d2, best.d2))
+        self._search(child, q, local, min(bound_d2, best.d2))
         best.cost += local.cost
         if local.rid >= 0:
-            best.offer(local.d2, sub.source.to_parent(local.rid))
+            best.offer(local.d2, local.rid)
 
     def _border_search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
         """Out-of-extents scan in nearest-bin-first order with pruning.
 
-        Child indexes cannot hand a whole concatenated border to one vector
+        A child level cannot hand a whole concatenated border to one vector
         scan the way the flat index does, because consulted bins may
         themselves be subdivided; visiting bins by ascending rectangle
         distance and stopping once no unvisited bin can beat the running
-        best keeps delegated edge scans cheap. A standalone index with no
-        subdivisions anywhere keeps the flat scan, and with it the exact
-        flat-index cost.
+        best keeps delegated edge scans cheap. A root level with no
+        children keeps the flat scan, and with it the exact flat-index cost.
         """
-        if not self._is_sub and not state.sub_indexes:
+        if state.depth == 0 and not state.children:
             super()._border_search(state, q, best, bound_d2)
             return
         shape = state.shape

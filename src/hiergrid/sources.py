@@ -1,5 +1,5 @@
 """Indexable record sources: the collection contract, an in-memory point
-collection, and the proxy sub-collection used for hierarchical subdivision.
+collection, and a proxy sub-collection over a parent's id list.
 """
 from __future__ import annotations
 
@@ -40,10 +40,14 @@ class Record:
 class IndexableSource(ABC):
     """What a collection must expose to be indexable.
 
-    The changed flag is the lazy-rebuild handshake: any mutation sets it,
-    and only an index acknowledging a completed rebuild clears it. Reads may
-    be concurrent with each other but not with mutation.
+    The version is the lazy-rebuild handshake: it increases with every
+    mutation, an index records the version it read before fetching, and it
+    rebuilds whenever the source's version differs from that one, so any
+    number of indexes can share one source. Reads may be concurrent with
+    each other but not with mutation.
     """
+
+    _acked_version = -1
 
     @property
     @abstractmethod
@@ -56,11 +60,19 @@ class IndexableSource(ABC):
 
     @property
     @abstractmethod
-    def changed(self) -> bool: ...
+    def version(self) -> int:
+        """Monotonically increasing; changes whenever any record changes."""
+
+    @property
+    def changed(self) -> bool:
+        """Compatibility view of the handshake: True from any mutation until
+        an index that finished a rebuild with no mutation landing during it
+        sets it False, acknowledging the current version."""
+        return self._acked_version != self.version
 
     @changed.setter
-    @abstractmethod
-    def changed(self, value: bool) -> None: ...
+    def changed(self, value: bool) -> None:
+        self._acked_version = -1 if value else self.version
 
     @abstractmethod
     def fetch(self, rid: RecordId, scratch: Record) -> Record:
@@ -83,7 +95,7 @@ class PointCollection(IndexableSource):
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         self._pts = pts
-        self._changed = True
+        self._version = 0
         self._extents: Extents | None = None
 
     @property
@@ -108,12 +120,8 @@ class PointCollection(IndexableSource):
         return self._extents
 
     @property
-    def changed(self) -> bool:
-        return self._changed
-
-    @changed.setter
-    def changed(self, value: bool) -> None:
-        self._changed = bool(value)
+    def version(self) -> int:
+        return self._version
 
     def fetch(self, rid: RecordId, scratch: Record) -> Record:
         if not 0 <= rid < len(self._pts):
@@ -124,7 +132,7 @@ class PointCollection(IndexableSource):
         return scratch
 
     def _mutated(self) -> None:
-        self._changed = True
+        self._version += 1
         self._extents = None
 
     def append(self, x: float, y: float) -> RecordId:
@@ -148,16 +156,14 @@ class PointCollection(IndexableSource):
 class SubGridSource(IndexableSource):
     """Proxy over a shared id list; never copies record payloads.
 
-    Local ids are 0..len(ids)-1 and remap through ids[k] into the parent.
-    Tie-breaks inside an index built over this source use local ids; the
-    lists produced by grid rendering are ascending, so local order matches
-    parent order for every proxy the hierarchy creates.
+    Local ids are 0..len(ids)-1 and remap through ids[k] into the parent;
+    the proxy reports its parent's version. The hierarchical index builds
+    child levels over one positions array and does not use this class.
     """
 
     def __init__(self, parent: IndexableSource, ids: Sequence[RecordId]) -> None:
         self._parent = parent
         self._ids = ids
-        self._changed = True
 
     @property
     def parent(self) -> IndexableSource:
@@ -166,9 +172,6 @@ class SubGridSource(IndexableSource):
     @property
     def ids(self) -> Sequence[RecordId]:
         return self._ids
-
-    def to_parent(self, local: RecordId) -> RecordId:
-        return self._ids[local]
 
     @property
     def record_count(self) -> int:
@@ -188,12 +191,8 @@ class SubGridSource(IndexableSource):
         return bounding_extents(_positions())
 
     @property
-    def changed(self) -> bool:
-        return self._changed
-
-    @changed.setter
-    def changed(self, value: bool) -> None:
-        self._changed = bool(value)
+    def version(self) -> int:
+        return self._parent.version
 
     def fetch(self, rid: RecordId, scratch: Record) -> Record:
         if not 0 <= rid < len(self._ids):
@@ -202,13 +201,6 @@ class SubGridSource(IndexableSource):
 
     def new_scratch(self) -> Record:
         return self._parent.new_scratch()
-
-
-def compute_extents(source: IndexableSource) -> Extents:
-    """Tight, degeneracy-inflated bounding box of every record position."""
-    if source.record_count < 1:
-        raise EmptySourceError("compute_extents of an empty source")
-    return source.data_extents
 
 
 def load_points(path) -> PointCollection:

@@ -13,7 +13,6 @@ from hiergrid import (
     Extents,
     Point2D,
     PointCollection,
-    compute_extents,
     oracle_nearest,
     oracle_quadtree,
     oracle_range,
@@ -52,7 +51,7 @@ class TestOracleNearest:
         # frozen output of this oracle on a fixed-seed 5000-point set;
         # any drift in RNG stream, metric or tie rule shows up here
         pts = uniform_points(5000, seed=42)
-        res = oracle_nearest(pts, compute_extents(pts).center)
+        res = oracle_nearest(pts, pts.data_extents.center)
         assert res.record == 2380
         assert res.distance == pytest.approx(3.8899090098806894, abs=1e-12)
         assert res.comparisons == 5000

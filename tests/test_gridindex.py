@@ -114,24 +114,56 @@ class TestRebuild:
         assert got.record == 0
         assert got.distance == pytest.approx(math.sqrt(2.0))
 
+    def test_mutation_during_rebuild_is_seen_by_next_query(self):
+        class MovesDuringFetch(PointCollection):
+            """Moves record 0 while the last record is being fetched."""
+
+            armed = True
+
+            def fetch(self, rid, scratch):
+                if self.armed and rid == self.record_count - 1:
+                    self.armed = False
+                    self.move(0, 8.0, 8.0)
+                return super().fetch(rid, scratch)
+
+        src = MovesDuringFetch([(1.0, 1.0), (9.0, 9.0), (5.0, 5.0)])
+        idx = GridIndex(src, 3, 3)
+        idx.ensure_built()
+        assert src.changed  # the move landed after record 0 was read
+        res = idx.nearest(Point2D(8.0, 8.0))
+        assert (res.record, res.distance) == (0, 0.0)
+        assert not src.changed
+
     def test_hooks_run_in_pipeline_order(self):
         events = []
 
         class Recorder(GridIndex):
-            def _on_before_rebuild(self, state):
+            def _render_records(self, state, ids):
                 assert len(state.rendered.registry) == 0
                 assert state.filled is None
-                events.append("before")
+                assert state.positions.shape == (2, 2)
+                events.append("render")
+                super()._render_records(state, ids)
+
+            def _fill_gaps(self, state, bins):
+                assert all(lst.ids_arr is not None for lst in state.rendered.registry)
+                events.append("fill")
+                super()._fill_gaps(state, bins)
+
+            def _prepare_border(self, state):
+                assert state.filled is not None
+                events.append("border")
+                super()._prepare_border(state)
 
             def _on_after_rebuilt(self, state):
-                assert state.filled is not None
                 assert all(b is not None for b in state.filled.flat)
+                assert state.border_ids is not None
                 assert self.source.changed  # flag clears only after the hook
                 events.append("after")
 
         src = pc((1.0, 1.0), (9.0, 9.0))
         Recorder(src, 3, 3).ensure_built()
-        assert events == ["before", "after"]
+        assert events == ["render", "fill", "border", "after"]
         assert not src.changed
 
 

@@ -9,7 +9,6 @@ from hiergrid import (
     HierGridIndex,
     Point2D,
     PointCollection,
-    SubGridSource,
     match_battery,
     oracle_quadtree,
     resolve_bin,
@@ -33,8 +32,6 @@ class TestConfig:
             HierConfig(max_bin_records=0)
         with pytest.raises(ValueError):
             HierConfig(max_bin_records=1, smallest_bin_dimension=0.0)
-        with pytest.raises(ValueError):
-            HierConfig(max_bin_records=1, sub_divisions=(1, 1))
 
     def test_single_bin_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -86,13 +83,6 @@ class TestSubdivisionPolicy:
                     assert idx.sub_at(c) is home_sub
         assert aliases > 0
 
-    def test_sub_sources_are_proxies_over_parent(self):
-        pts = uniform_points(400, seed=7)
-        idx = HierGridIndex(pts, 5, 5, HierConfig(max_bin_records=4))
-        for sub in idx.sub_indexes:
-            assert isinstance(sub.source, SubGridSource)
-            assert sub.source.parent is pts
-
     def test_size_floor_blocks_subdivision(self):
         idx = HierGridIndex(
             uniform_points(500, seed=1),
@@ -102,22 +92,12 @@ class TestSubdivisionPolicy:
         )
         assert idx.sub_indexes == []
 
-    def test_sub_divisions_override(self):
-        idx = HierGridIndex(
-            uniform_points(500, seed=1),
-            5,
-            5,
-            HierConfig(max_bin_records=4, sub_divisions=(3, 2)),
-        )
+    def test_divisions_inherited_by_default(self):
+        idx = HierGridIndex(uniform_points(600, seed=2), 4, 3, HierConfig(max_bin_records=3))
         subs = idx.sub_indexes
         assert subs
         for sub in subs:
-            assert (sub.divisions_x, sub.divisions_y) == (3, 2)
-
-    def test_divisions_inherited_by_default(self):
-        idx = HierGridIndex(uniform_points(600, seed=2), 4, 3, HierConfig(max_bin_records=3))
-        for sub in idx.sub_indexes:
-            assert (sub.divisions_x, sub.divisions_y) == (4, 3)
+            assert (sub.shape.divisions_x, sub.shape.divisions_y) == (4, 3)
 
 
 class TestTermination:
@@ -210,6 +190,15 @@ class TestQueriesDelegate:
             assert not res.short_circuit  # delegation never claims the flag
         assert delegated > 50
 
+    def test_every_record_position_answers_at_distance_zero(self):
+        # child levels span their records' tight box, so records sit on
+        # level maxima, where min + n * bin_size can fall an ulp short
+        rng = np.random.default_rng(7)
+        pts = np.vstack([np.full((30, 2), 5.0), rng.uniform(0, 10, (20, 2))])
+        idx = HierGridIndex(PointCollection(pts), 3, 3, HierConfig(max_bin_records=1))
+        for x, y in pts.tolist():
+            assert idx.nearest(Point2D(x, y)).distance == 0.0
+
     def test_single_record_reachable_through_nesting(self):
         pts = [[50.0, 50.0]] * 20 + [[50.2, 50.2]]
         idx = HierGridIndex(PointCollection(pts), 4, 4, HierConfig(max_bin_records=1))
@@ -281,3 +270,15 @@ class TestLazyRebuild:
         assert len(idx.sub_indexes) == 1
         res = idx.nearest(Point2D(11.0, 11.0))
         assert res.distance == 0.0
+
+    def test_indexes_sharing_a_source_all_see_a_move(self):
+        src = pc((0.0, 0.0), (10.0, 10.0), (5.0, 5.0), (1.0, 9.0), (9.0, 1.0))
+        flat = GridIndex(src, 4, 4)
+        hier = HierGridIndex(src, 2, 2, HierConfig(max_bin_records=1))
+        q = Point2D(9.9, 9.9)
+        assert flat.nearest(q).record == 1
+        assert hier.nearest(q).record == 1
+        src.move(2, 9.9, 9.9)
+        for idx in (flat, hier, flat, hier):
+            res = idx.nearest(q)
+            assert (res.record, res.distance) == (2, 0.0)

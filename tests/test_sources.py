@@ -1,4 +1,4 @@
-"""Source contract: point collections, proxies, the changed-flag handshake."""
+"""Source contract: point collections, proxies, the version handshake."""
 import numpy as np
 import pytest
 
@@ -9,7 +9,6 @@ from hiergrid import (
     PointCollection,
     Record,
     SubGridSource,
-    compute_extents,
     load_points,
     save_points,
 )
@@ -89,18 +88,20 @@ class TestPointCollection:
 
 
 class TestComputeExtents:
+    """data_extents: the tight, degeneracy-inflated box an index grids over."""
+
     def test_tight_box(self):
-        e = compute_extents(pc((1.0, 7.0), (5.0, 2.0), (3.0, 4.0)))
+        e = pc((1.0, 7.0), (5.0, 2.0), (3.0, 4.0)).data_extents
         assert e == Extents(Point2D(1.0, 2.0), Point2D(5.0, 7.0))
 
     def test_single_record_inflates(self):
-        e = compute_extents(pc((4.0, 4.0)))
+        e = pc((4.0, 4.0)).data_extents
         assert e.width > 0 and e.height > 0
         assert e.center == Point2D(4.0, 4.0)
 
     def test_empty_source_rejected(self):
         with pytest.raises(EmptySourceError):
-            compute_extents(pc())
+            _ = pc().data_extents
 
 
 class TestSubGridSource:
@@ -112,8 +113,13 @@ class TestSubGridSource:
         assert sub.fetch(1, sub.new_scratch()).position() == (1.0, 1.0)
 
     def test_to_parent(self):
-        sub = SubGridSource(pc((1.0, 1.0), (2.0, 2.0)), [1])
-        assert sub.to_parent(0) == 1
+        parent = pc((1.0, 1.0), (2.0, 2.0))
+        sub = SubGridSource(parent, [1])
+        assert sub.ids[0] == 1
+        assert sub.fetch(0, sub.new_scratch()).position() == (2.0, 2.0)
+        assert sub.version == parent.version
+        parent.move(1, 3.0, 3.0)
+        assert sub.version == parent.version
 
     def test_extents_cover_only_members(self):
         parent = pc((0.0, 0.0), (100.0, 100.0), (40.0, 60.0))
@@ -145,7 +151,7 @@ class TestSubGridSource:
         leaf = SubGridSource(mid, [2, 0])
         assert leaf.fetch(0, leaf.new_scratch()).position() == (0.0, 0.0)
         assert leaf.fetch(1, leaf.new_scratch()).position() == (3.0, 3.0)
-        assert mid.to_parent(leaf.to_parent(1)) == 3
+        assert mid.ids[leaf.ids[1]] == 3
 
 
 class TestPointFiles:
