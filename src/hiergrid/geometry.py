@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 # Absolute inflation applied per degenerate extents axis so bin sizes are
 # never zero (all records identical or collinear).
 DEGENERATE_AXIS_EPS = 1e-9
@@ -149,6 +151,14 @@ def _axis_bin(v: float, lo: float, size: float, n: int) -> int:
     elif k < n - 1 and v > lo + (k + 1) * size:
         k += 1
     return k
+
+
+def axis_bins(v: np.ndarray, lo: float, size: float, n: int) -> np.ndarray:
+    """_axis_bin over an array of in-extents coordinates, same arithmetic."""
+    k = np.minimum(((v - lo) / size).astype(np.intp), n - 1)
+    below = v < lo + k * size
+    above = (k < n - 1) & (v > lo + (k + 1) * size)
+    return k - below + above
 
 
 def neighborhood(c: BinCoord, n: int, shape: GridShape) -> list[BinCoord]:

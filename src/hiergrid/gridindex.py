@@ -7,13 +7,17 @@ point's bin plus, when the home-bin short circuit does not fire, its
 1-neighborhood. A rebuild fetches every record once into one positions
 array and builds the root level from it; the hierarchical index builds the
 child levels of overfull bins with the same level builder.
+
+A level is built in numpy: levels of at least _VECTOR_SCAN_MIN records are
+binned and grouped in one pass (smaller ones loop over render_point), and
+gap fill is one argmin over empty-bin centers x the level's records.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,15 +26,20 @@ from .geometry import (
     Extents,
     GridShape,
     Point2D,
-    bin_center,
+    axis_bins,
     dist_to_bin_boundary,
     neighborhood,
     resolve_bin,
 )
 from .sources import EmptySourceError, IndexableSource, RecordId
 
-# Below this list length a plain Python scan beats the numpy call overhead.
+# Below this list length a plain Python scan beats the numpy call overhead;
+# levels with fewer records also render point by point.
 _VECTOR_SCAN_MIN = 24
+
+# Most distances one gap-fill argmin holds at once (empty bins x records),
+# which bounds its temporaries to a few tens of MB on any level.
+_GAP_FILL_BLOCK = 1 << 20
 
 
 class OutsideExtentsError(ValueError):
@@ -110,6 +119,32 @@ class RenderedGrid:
         if c is None:
             raise OutsideExtentsError(f"point {p} outside grid extents")
         self._list_at(c.i, c.j).append(rid)
+
+    def render_points(self, ids: Sequence[RecordId], pts: np.ndarray) -> None:
+        """render_point for every (ids[k], pts[k]) at once, into a grid with
+        nothing rendered yet; ids ascend and are unique.
+
+        Bins are assigned in numpy and grouped by a stable sort, lists are
+        created in first-seen id order, as the loop creates them, and each
+        list holds the caller's own id objects.
+        """
+        shape = self.shape
+        ext = shape.extents
+        xs, ys = pts[:, 0], pts[:, 1]
+        outside = (xs < ext.min.x) | (xs > ext.max.x) | (ys < ext.min.y) | (ys > ext.max.y)
+        if outside.any():
+            p = Point2D(*pts[int(outside.argmax())].tolist())
+            raise OutsideExtentsError(f"point {p} outside grid extents")
+        nx = shape.divisions_x
+        flat = axis_bins(ys, ext.min.y, shape.bin_height, shape.divisions_y) * nx
+        flat += axis_bins(xs, ext.min.x, shape.bin_width, nx)
+        order = np.argsort(flat, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(flat[order])) + 1)
+        # a stable sort keeps each bin's positions ascending, so ordering the
+        # groups by their first position gives first-seen order
+        for members in sorted(groups, key=lambda g: int(g[0])):
+            b = int(flat[members[0]])
+            self._list_at(b % nx, b // nx).ids.extend([ids[k] for k in members.tolist()])
 
     def render_line(self, rid: RecordId, a: Point2D, b: Point2D) -> None:
         """Add rid to every bin the closed segment [a, b] touches.
@@ -242,6 +277,9 @@ class _BuiltState:
     Every level of a build shares the root's positions array and holds root
     record ids. children maps an overfull list to its child level, and
     child_table holds each bin's child level, or is None when there are none.
+    Every level shares its index's border ring (border_coords); only a root
+    level holds the concatenated border arrays, which only the flat border
+    scan of a root level without children reads.
     """
 
     __slots__ = (
@@ -330,6 +368,13 @@ class GridIndex:
         self.divisions_y = divisions_y
         self._state: _BuiltState | None = None
         self._lock = threading.Lock()
+        # every level has these divisions, so all levels share one ring
+        self._border_coords = [
+            BinCoord(i, j)
+            for j in range(divisions_y)
+            for i in range(divisions_x)
+            if i in (0, divisions_x - 1) or j in (0, divisions_y - 1)
+        ]
 
     # -- inspection --------------------------------------------------------
 
@@ -413,61 +458,58 @@ class GridIndex:
         subdivides here."""
 
     def _render_records(self, state: _BuiltState, ids) -> None:
-        """Render each record of `ids` at its fetched position."""
+        """Render each record of `ids` at its fetched position, in one numpy
+        pass unless the level is too small to pay for it."""
         rendered = state.rendered
+        pts = state.positions[ids]
+        if len(ids) >= _VECTOR_SCAN_MIN:
+            rendered.render_points(ids, pts)
+            return
         # two flat float lists build faster than one (x, y) list per record
-        xs, ys = state.positions[ids].T.tolist()
+        xs, ys = pts.T.tolist()
         for rid, x, y in zip(ids, xs, ys):
             rendered.render_point(rid, Point2D(x, y))
 
     def _fill_gaps(self, state: _BuiltState, bins: list) -> None:
         """Point every empty bin at the list holding the record nearest its
-        center (ties to the lowest id), via expanding Chebyshev ring search
-        over the rendered grid."""
+        center, ties to the lowest id.
+
+        One argmin per block of empty bins over the level's records sorted
+        by ascending id, so its first minimum is the lowest-id nearest
+        record. Centers and squared distances use the arithmetic of
+        bin_center and _scan_list, so ties resolve as a query scan would.
+        """
+        empty = [flat for flat, lst in enumerate(bins) if lst is None]
+        if not empty:
+            return
+        lists = list(state.rendered.registry)
+        order = np.argsort(np.concatenate([lst.ids_arr for lst in lists]), kind="stable")
+        xs = np.concatenate([lst.xs for lst in lists])[order]
+        ys = np.concatenate([lst.ys for lst in lists])[order]
+        owner = np.repeat(np.arange(len(lists)), [len(lst) for lst in lists])[order]
         shape = state.shape
-        rendered = state.rendered
-        nx, ny = shape.divisions_x, shape.divisions_y
-        min_dim = min(shape.bin_width, shape.bin_height)
-        max_ring = max(nx, ny)
-        for flat, lst in enumerate(bins):
-            if lst is not None:
-                continue
-            c = BinCoord(flat % nx, flat // nx)
-            center = bin_center(c, shape)
-            cx, cy = center.x, center.y
-            best = _Best()
-            best_list = None
-            for ring in range(1, max_ring + 1):
-                if best_list is not None:
-                    reach = (ring - 0.5) * min_dim
-                    if reach * reach > best.d2:
-                        break
-                coords = neighborhood(c, ring, shape)
-                if not coords:
-                    break
-                for nc in coords:
-                    cand = rendered.at(nc)
-                    if cand is None:
-                        continue
-                    rid = best.rid
-                    _scan_list(cand, cx, cy, best)
-                    if best.rid != rid:  # each record sits in one list
-                        best_list = cand
-            bins[flat] = best_list
+        ext = shape.extents
+        flat = np.array(empty)
+        cxs = ext.min.x + (flat % shape.divisions_x + 0.5) * shape.bin_width
+        cys = ext.min.y + (flat // shape.divisions_x + 0.5) * shape.bin_height
+        step = max(1, _GAP_FILL_BLOCK // len(xs))
+        for lo in range(0, len(empty), step):
+            dx = xs - cxs[lo : lo + step, None]
+            dy = ys - cys[lo : lo + step, None]
+            d2 = dx * dx + dy * dy
+            winners = owner[d2.argmin(axis=1)].tolist()
+            for f, w in zip(empty[lo : lo + step], winners):
+                bins[f] = lists[w]
 
     def _prepare_border(self, state: _BuiltState) -> None:
-        """Border ring coords (row-major) and the flat concatenated scan."""
-        shape = state.shape
-        nx, ny = shape.divisions_x, shape.divisions_y
-        coords = []
-        for j in range(ny):
-            for i in range(nx):
-                if i == 0 or j == 0 or i == nx - 1 or j == ny - 1:
-                    coords.append(BinCoord(i, j))
-        state.border_coords = coords
+        """Share the index's border ring (row-major) and, on a root level,
+        concatenate the ring's distinct lists for the flat border scan."""
+        state.border_coords = self._border_coords
+        if state.depth:
+            return
         seen: set[int] = set()
         lists = []
-        for c in coords:
+        for c in state.border_coords:
             lst = state.filled.at(c)
             if id(lst) not in seen:
                 seen.add(id(lst))

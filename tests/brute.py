@@ -3,13 +3,17 @@
 Independent per-cell implementations of the segment and rectangle
 intersection rules, used to cross-check the renderers bin by bin. The
 arithmetic mirrors the library's bin-edge convention (min + k * size) so
-closed-boundary hits evaluate identically on both sides.
+closed-boundary hits evaluate identically on both sides. Also the
+hypothesis strategy that probes every bin edge to within an ulp.
 """
 from __future__ import annotations
 
 import math
 
-from hiergrid import BinCoord, Extents, GridShape, Point2D
+import numpy as np
+from hypothesis import strategies as st
+
+from hiergrid import BinCoord, Extents, GridIndex, GridShape, Point2D, PointCollection
 
 
 def t_interval(a0: float, d: float, lo: float, hi: float):
@@ -81,3 +85,32 @@ def nearest_record(positions, q: Point2D) -> tuple[float, int]:
             best_d2 = d2
             best_rid = rid
     return best_d2, best_rid
+
+
+@st.composite
+def grid_and_near_edge_probes(draw):
+    """A flat index over extents 1e-6 to 1e6 wide, plus query points one
+    ulp either side of (and exactly on) every bin edge, max included, on
+    both axes."""
+    x0 = draw(st.floats(-1e6, 1e6))
+    y0 = draw(st.floats(-1e6, 1e6))
+    w = 10.0 ** draw(st.floats(-6.0, 6.0))
+    h = 10.0 ** draw(st.floats(-6.0, 6.0))
+    dx = draw(st.integers(1, 16))
+    dy = draw(st.integers(1, 16))
+    idx = GridIndex(PointCollection([(x0, y0), (x0 + w, y0 + h)]), dx, dy)
+    ext = idx.shape.extents
+    fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    inside_x = float(ext.min.x + fx * ext.width)
+    inside_y = float(ext.min.y + fy * ext.height)
+    probes = []
+    for axis, n, lo, hi, size in (
+        (0, dx, ext.min.x, ext.max.x, idx.shape.bin_width),
+        (1, dy, ext.min.y, ext.max.y, idx.shape.bin_height),
+    ):
+        for k in range(n + 1):
+            edge = hi if k == n else lo + k * size
+            for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                v = float(v)
+                probes.append(Point2D(v, inside_y) if axis == 0 else Point2D(inside_x, v))
+    return idx, probes

@@ -21,7 +21,9 @@ from hiergrid import (
     uniform_points,
 )
 
-from brute import nearest_record, rect_cells, segment_cells
+from hiergrid.gridindex import _VECTOR_SCAN_MIN
+
+from brute import grid_and_near_edge_probes, nearest_record, rect_cells, segment_cells
 
 UNIT = Extents(Point2D(0.0, 0.0), Point2D(100.0, 100.0))
 SHAPE10 = GridShape(10, 10, UNIT)
@@ -196,6 +198,46 @@ class TestRenderPoint:
             g.render_point(0, Point2D(100.1, 50.0))
 
 
+class TestRenderPoints:
+    """A level of at least _VECTOR_SCAN_MIN records renders in one numpy
+    pass; it must equal render_point called in id order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_and_near_edge_probes(), st.randoms(use_true_random=False))
+    def test_matches_render_point_loop(self, grid_probes, rnd):
+        grid, probes = grid_probes
+        shape = grid.shape
+        # the probes inside the extents span them exactly, so an index
+        # over them has the same shape; repeats put several ids in a bin
+        inside = [p for p in probes if shape.extents.contains(p)]
+        pts = inside * -(-_VECTOR_SCAN_MIN // len(inside))
+        rnd.shuffle(pts)
+        src = PointCollection([(p.x, p.y) for p in pts])
+        idx = GridIndex(src, shape.divisions_x, shape.divisions_y)
+        assert idx.shape == shape
+        want = RenderedGrid(shape)
+        for rid, p in enumerate(pts):
+            want.render_point(rid, p)
+        got = idx.rendered
+        assert list(got.registry.values()) == list(want.registry.values())
+        assert [lst.ids for lst in got.registry] == [lst.ids for lst in want.registry]
+
+    @pytest.mark.parametrize("n", [_VECTOR_SCAN_MIN - 1, _VECTOR_SCAN_MIN + 6])
+    def test_record_outside_declared_extents_rejected(self, n):
+        class UnderReported(PointCollection):
+            """Declares the extents of every record but the last."""
+
+            @property
+            def data_extents(self):
+                return PointCollection(self.positions[:-1]).data_extents
+
+        rng = np.random.default_rng(n)
+        pts = np.vstack([rng.uniform(0.0, 100.0, (n - 1, 2)), [[150.0, 50.0]]])
+        idx = GridIndex(UnderReported(pts), 4, 4)
+        with pytest.raises(OutsideExtentsError, match="outside grid extents"):
+            idx.ensure_built()
+
+
 class TestRenderLine:
     def test_horizontal_covers_one_row(self):
         g = RenderedGrid(SHAPE10)
@@ -318,6 +360,18 @@ class TestFillGaps:
         middle = idx.filled.at(BinCoord(0, 2))
         assert middle is idx.rendered.at(BinCoord(0, 0))
         assert middle.ids == [0]
+
+    def test_tie_goes_to_lowest_id_not_first_list(self):
+        # bin A (column 0) holds records 0 and 2, bin B (column 2) holds
+        # 1 and 3; the empty middle bin's center (15, 2.5) is sqrt(42.25)
+        # from records 1 and 2 and farther from 0 and 3. Record 1 wins the
+        # tie, although A comes first in the registry.
+        idx = GridIndex(pc((0.0, 0.0), (21.0, 5.0), (9.0, 5.0), (30.0, 0.0)), 3, 1)
+        a, b = idx.rendered.at(BinCoord(0, 0)), idx.rendered.at(BinCoord(2, 0))
+        assert (a.ids, b.ids) == ([0, 2], [1, 3])
+        assert list(idx.rendered.registry) == [a, b]
+        assert idx.rendered.at(BinCoord(1, 0)) is None
+        assert idx.filled.at(BinCoord(1, 0)) is b
 
     def test_winner_is_nearest_record_to_bin_center(self):
         rng = np.random.default_rng(12)

@@ -9,6 +9,8 @@ from hiergrid import (
     HierGridIndex,
     Point2D,
     PointCollection,
+    bin_center,
+    gaussian_points,
     match_battery,
     oracle_quadtree,
     resolve_bin,
@@ -18,6 +20,14 @@ from hiergrid import (
 
 def pc(*pts) -> PointCollection:
     return PointCollection(list(pts))
+
+
+def levels(state):
+    """Every level of a built tree, root first."""
+    out = [state]
+    for child in state.children.values():
+        out.extend(levels(child))
+    return out
 
 
 def leaf_key(leaves):
@@ -98,6 +108,62 @@ class TestSubdivisionPolicy:
         assert subs
         for sub in subs:
             assert (sub.shape.divisions_x, sub.shape.divisions_y) == (4, 3)
+
+
+class TestLevels:
+    def test_gap_fill_takes_lowest_id_nearest_record_on_every_level(self):
+        # lattice-snapped records with duplicates: many empty-bin centers
+        # sit at equal distance from several records
+        rng = np.random.default_rng(5)
+        pts = PointCollection(rng.integers(0, 12, (400, 2)) * 5.0)
+        idx = HierGridIndex(pts, 5, 3, HierConfig(max_bin_records=3))
+        all_levels = levels(idx.ensure_built())
+        assert len(all_levels) > 20
+        for state in all_levels:
+            shape = state.shape
+            members = sorted(rid for lst in state.rendered.registry for rid in lst.ids)
+            for flat, lst in enumerate(state.filled.flat):
+                c = BinCoord(flat % shape.divisions_x, flat // shape.divisions_x)
+                if state.rendered.at(c) is not None:
+                    continue
+                center = bin_center(c, shape)
+                d2s = {}
+                for rid in members:
+                    dx = state.positions[rid, 0] - center.x
+                    dy = state.positions[rid, 1] - center.y
+                    d2s[rid] = dx * dx + dy * dy
+                low = min(d2s.values())
+                winner = min(rid for rid, d2 in d2s.items() if d2 == low)
+                assert winner in lst.ids, (state.depth, c)
+                assert lst in state.rendered.registry
+
+    def test_levels_share_the_border_ring_and_only_the_root_has_arrays(self):
+        idx = HierGridIndex(uniform_points(2000, seed=8), 6, 4, HierConfig(max_bin_records=4))
+        root = idx.ensure_built()
+        ring = [
+            BinCoord(i, j)
+            for j in range(4)
+            for i in range(6)
+            if i in (0, 5) or j in (0, 3)
+        ]
+        assert root.border_ids is not None
+        assert len(levels(root)) > 100
+        for state in levels(root):
+            assert state.border_coords == ring
+            assert state.border_coords is root.border_coords
+            if state is not root:
+                assert state.border_ids is None
+                assert state.border_xs is None and state.border_ys is None
+
+
+    def test_child_lists_hold_the_parent_lists_id_objects(self):
+        idx = HierGridIndex(gaussian_points(3000, seed=4), 10, 10, HierConfig(max_bin_records=8))
+        for state in levels(idx.ensure_built()):
+            for lst, child in state.children.items():
+                parent_ids = {id(rid) for rid in lst.ids}
+                assert all(
+                    id(rid) in parent_ids for sub in child.rendered.registry for rid in sub.ids
+                )
 
 
 class TestTermination:

@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hiergrid import (
     BinCoord,
@@ -20,6 +19,8 @@ from hiergrid import (
     resolve_bin,
     uniform_points,
 )
+
+from brute import grid_and_near_edge_probes
 
 
 def pc(*pts) -> PointCollection:
@@ -235,38 +236,9 @@ class TestConcurrentReads:
         assert errors == []
 
 
-@st.composite
-def _grid_and_near_edge_probes(draw):
-    """A flat index over extents 1e-6 to 1e6 wide, plus query points one
-    ulp either side of (and exactly on) every bin edge, max included, on
-    both axes."""
-    x0 = draw(st.floats(-1e6, 1e6))
-    y0 = draw(st.floats(-1e6, 1e6))
-    w = 10.0 ** draw(st.floats(-6.0, 6.0))
-    h = 10.0 ** draw(st.floats(-6.0, 6.0))
-    dx = draw(st.integers(1, 16))
-    dy = draw(st.integers(1, 16))
-    idx = GridIndex(pc((x0, y0), (x0 + w, y0 + h)), dx, dy)
-    ext = idx.shape.extents
-    fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
-    inside_x = float(ext.min.x + fx * ext.width)
-    inside_y = float(ext.min.y + fy * ext.height)
-    probes = []
-    for axis, n, lo, hi, size in (
-        (0, dx, ext.min.x, ext.max.x, idx.shape.bin_width),
-        (1, dy, ext.min.y, ext.max.y, idx.shape.bin_height),
-    ):
-        for k in range(n + 1):
-            edge = hi if k == n else lo + k * size
-            for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
-                v = float(v)
-                probes.append(Point2D(v, inside_y) if axis == 0 else Point2D(inside_x, v))
-    return idx, probes
-
-
 class TestNearEdgeProbes:
     @settings(max_examples=150, deadline=None)
-    @given(_grid_and_near_edge_probes())
+    @given(grid_and_near_edge_probes())
     def test_nearest_never_raises_and_home_rect_holds_the_point(self, grid_probes):
         idx, probes = grid_probes
         shape = idx.shape
