@@ -54,6 +54,7 @@ from .sweep import (
     SweepStats,
     colorize,
     match_battery,
+    range_battery,
     summarize,
     sweep_cost,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "oracle_quadtree",
     "oracle_range",
     "pgm_bytes",
+    "range_battery",
     "resolve_bin",
     "save_points",
     "summarize",

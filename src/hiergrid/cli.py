@@ -13,13 +13,11 @@ import sys
 from pathlib import Path
 
 from .datasets import gaussian_points, uniform_points
-from .geometry import Extents, Point2D
 from .gridindex import GridIndex
 from .hierarchy import HierConfig, HierGridIndex
-from .bruteforce import BruteForceIndex
 from .pgm import write_pgm
 from .sources import PointCollection, load_points
-from .sweep import colorize, match_battery, summarize, sweep_cost
+from .sweep import colorize, match_battery, range_battery, summarize, sweep_cost
 
 STATS_HEADER = (
     "config,n,div_x,div_y,hier,max_bin_records,"
@@ -288,19 +286,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{report.match_rate:.4f}, {sc_note}"
     )
 
-    index.ensure_built()
-    ext = index.shape.extents.scaled(2.0)
     rng = np.random.default_rng(args.seed + BATTERY_SEED_OFFSET + 1)
-    brute = BruteForceIndex(points)
-    bad_ranges = 0
-    for _ in range(args.ranges):
-        xs = rng.uniform(ext.min.x, ext.max.x, 2)
-        ys = rng.uniform(ext.min.y, ext.max.y, 2)
-        rect = Extents(
-            Point2D(float(xs.min()), float(ys.min())), Point2D(float(xs.max()), float(ys.max()))
-        )
-        if index.range_query(rect) != brute.range(rect):
-            bad_ranges += 1
+    bad_ranges = range_battery(index, args.ranges, rng)
     if bad_ranges:
         failures.append(f"{bad_ranges} range queries disagreed with the oracle")
         print(f"range battery   : {args.ranges} rectangles, {bad_ranges} MISMATCHED")

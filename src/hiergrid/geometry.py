@@ -14,8 +14,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# Absolute inflation applied per degenerate extents axis so bin sizes are
-# never zero (all records identical or collinear).
+# Absolute inflation applied per extents axis narrower than it, so bin sizes
+# are never zero (records identical, collinear or a subnormal distance apart).
 DEGENERATE_AXIS_EPS = 1e-9
 
 
@@ -69,11 +69,11 @@ class Extents:
         return Extents(Point2D(cx - hw, cy - hh), Point2D(cx + hw, cy + hh))
 
     def inflated_if_degenerate(self, eps: float = DEGENERATE_AXIS_EPS) -> "Extents":
-        """Inflate any zero-width axis by +-eps so grid bins are nonzero."""
+        """Inflate any axis narrower than eps by +-eps so grid bins are nonzero."""
         x0, x1, y0, y1 = self.min.x, self.max.x, self.min.y, self.max.y
-        if x0 == x1:
+        if x1 - x0 < eps:
             x0, x1 = x0 - eps, x1 + eps
-        if y0 == y1:
+        if y1 - y0 < eps:
             y0, y1 = y0 - eps, y1 + eps
         if (x0, y0) == (self.min.x, self.min.y):
             return self

@@ -26,6 +26,7 @@ from .geometry import (
     Extents,
     GridShape,
     Point2D,
+    _axis_bin,
     axis_bins,
     dist_to_bin_boundary,
     neighborhood,
@@ -574,38 +575,33 @@ class GridIndex:
         best.offer(m, rid)
 
     def range_query(self, rect: Extents) -> list[RecordId]:
-        """Ids of records inside the closed rectangle, ascending."""
+        """Ids of records inside the closed rectangle, ascending: one mask
+        over the rendered bins from the bin of the rectangle's min corner to
+        the bin of its max corner, both clamped to the extents. Records are
+        rendered by the same monotone _axis_bin, so the window holds them all."""
         state = self.ensure_built()
         shape = state.shape
         ext = shape.extents
-        if (
-            rect.max.x < ext.min.x
-            or rect.min.x > ext.max.x
-            or rect.max.y < ext.min.y
-            or rect.min.y > ext.max.y
-        ):
+        x0, x1 = max(rect.min.x, ext.min.x), min(rect.max.x, ext.max.x)
+        y0, y1 = max(rect.min.y, ext.min.y), min(rect.max.y, ext.max.y)
+        if x0 > x1 or y0 > y1:
             return []
         nx, ny = shape.divisions_x, shape.divisions_y
-        bw, bh = shape.bin_width, shape.bin_height
-        i_lo = _clamp(math.floor((rect.min.x - ext.min.x) / bw) - 1, 0, nx - 1)
-        i_hi = _clamp(math.floor((rect.max.x - ext.min.x) / bw) + 1, 0, nx - 1)
-        j_lo = _clamp(math.floor((rect.min.y - ext.min.y) / bh) - 1, 0, ny - 1)
-        j_hi = _clamp(math.floor((rect.max.y - ext.min.y) / bh) + 1, 0, ny - 1)
-        rendered = state.rendered
-        seen: set[int] = set()
-        hits: set[int] = set()
-        for j in range(j_lo, j_hi + 1):
-            for i in range(i_lo, i_hi + 1):
-                lst = rendered.at(BinCoord(i, j))
-                if lst is None or id(lst) in seen:
-                    continue
-                seen.add(id(lst))
-                mask = (
-                    (lst.xs >= rect.min.x)
-                    & (lst.xs <= rect.max.x)
-                    & (lst.ys >= rect.min.y)
-                    & (lst.ys <= rect.max.y)
-                )
-                if mask.any():
-                    hits.update(int(r) for r in lst.ids_arr[mask])
-        return sorted(hits)
+        i_lo = _axis_bin(x0, ext.min.x, shape.bin_width, nx)
+        i_hi = _axis_bin(x1, ext.min.x, shape.bin_width, nx)
+        j_lo = _axis_bin(y0, ext.min.y, shape.bin_height, ny)
+        j_hi = _axis_bin(y1, ext.min.y, shape.bin_height, ny)
+        bins = state.rendered._bins
+        lists = [
+            lst
+            for j in range(j_lo, j_hi + 1)
+            for lst in bins[j * nx + i_lo : j * nx + i_hi + 1]
+            if lst is not None
+        ]
+        if not lists:
+            return []
+        xs = np.concatenate([lst.xs for lst in lists])
+        ys = np.concatenate([lst.ys for lst in lists])
+        ids = np.concatenate([lst.ids_arr for lst in lists])
+        hit = (xs >= rect.min.x) & (xs <= rect.max.x) & (ys >= rect.min.y) & (ys <= rect.max.y)
+        return np.sort(ids[hit]).tolist()

@@ -177,3 +177,18 @@ def match_battery(index: GridIndex, queries: int = 2048, seed: int = 0) -> Match
             if not ok:
                 sc_inexact += 1
     return MatchReport(total=queries, matched=matched, sc_fired=sc_fired, sc_inexact=sc_inexact)
+
+
+def range_battery(index: GridIndex, count: int, rng: np.random.Generator) -> int:
+    """Number of `count` range queries that disagree with the exhaustive
+    scan. Each rectangle spans two corners drawn over twice the data
+    extents from the caller's generator: two x draws, then two y draws."""
+    ext = index.shape.extents.scaled(SWEEP_SCALE)
+    brute = BruteForceIndex(index.source)
+    bad = 0
+    for _ in range(count):
+        x0, x1 = sorted(rng.uniform(ext.min.x, ext.max.x, 2).tolist())
+        y0, y1 = sorted(rng.uniform(ext.min.y, ext.max.y, 2).tolist())
+        rect = Extents(Point2D(x0, y0), Point2D(x1, y1))
+        bad += index.range_query(rect) != brute.range(rect)
+    return bad

@@ -34,7 +34,7 @@ from hiergrid import (
     match_battery,
     neighborhood,
     oracle_quadtree,
-    oracle_range,
+    range_battery,
     resolve_bin,
     summarize,
     sweep_cost,
@@ -314,21 +314,8 @@ class TestAcceptance:
             ),
         ]
         rng = np.random.default_rng(SEED + 7)
-        ran = 0
-        bad = 0
-        for idx in indexes:
-            idx.ensure_built()
-            ext = idx.shape.extents.scaled(2.0)
-            for _ in range(520):
-                xs = rng.uniform(ext.min.x, ext.max.x, 2)
-                ys = rng.uniform(ext.min.y, ext.max.y, 2)
-                rect = Extents(
-                    Point2D(float(xs.min()), float(ys.min())),
-                    Point2D(float(xs.max()), float(ys.max())),
-                )
-                ran += 1
-                if idx.range_query(rect) != oracle_range(pts, rect):
-                    bad += 1
+        ran = 520 * len(indexes)
+        bad = sum(range_battery(idx, 520, rng) for idx in indexes)
         ok = ran >= 1000 and bad == 0
         report("C7 range queries == oracle", ok, f"{ran} rectangles, mismatches {bad}")
         assert ran >= 1000

@@ -72,6 +72,12 @@ class TestExtents:
         assert e.height == pytest.approx(2 * DEGENERATE_AXIS_EPS, rel=1e-6)
         assert e.height > 0
 
+    def test_inflate_subnormal_width(self):
+        # 5e-324 / 2 rounds to 0.0: such an axis must inflate like a flat one
+        e = Extents(Point2D(0.0, 0.0), Point2D(5e-324, 1.0)).inflated_if_degenerate()
+        assert e.width == pytest.approx(2 * DEGENERATE_AXIS_EPS, rel=1e-6)
+        assert e.height == 1.0
+
     def test_inflate_noop_when_proper(self):
         assert UNIT.inflated_if_degenerate() is UNIT
 

@@ -188,6 +188,18 @@ class TestTermination:
         leaves = idx.leaf_occupancies()
         assert sorted(i for _, ids in leaves for i in ids) == list(range(30))
 
+    def test_cluster_a_subnormal_distance_wide(self):
+        # an axis 5e-324 wide halves to a zero bin size unless inflated: the
+        # flat index's root, and the hierarchical index's corner child level
+        pts = [[0.0, 0.0], [5e-324, 0.0], [0.0, 5e-324], [1.0, 1.0]]
+        for idx in (
+            GridIndex(PointCollection([[0.0, 0.0], [5e-324, 1.0]]), 2, 2),
+            HierGridIndex(PointCollection(pts), 2, 2, HierConfig(max_bin_records=2)),
+        ):
+            n = idx.source.record_count
+            assert idx.range_query(idx.shape.extents) == list(range(n))
+            assert idx.nearest(Point2D(0.0, 0.0)).distance == 0.0
+
 
 class TestLeafOccupancies:
     def test_leaves_partition_all_records(self):

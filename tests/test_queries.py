@@ -1,16 +1,21 @@
-"""Nearest and range query behavior of the flat index."""
+"""Nearest and range query behavior of the flat index (the range tests also
+cover the hierarchical index, which answers ranges from its root level)."""
+import json
 import math
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergrid import (
     BinCoord,
     BruteForceIndex,
     Extents,
     GridIndex,
+    HierConfig,
+    HierGridIndex,
     Point2D,
     PointCollection,
     dist_to_bin_boundary,
@@ -201,6 +206,23 @@ class TestRangeQuery:
             )
             assert idx.range_query(rect) == oracle_range(pts, rect)
 
+    def test_returns_python_ints_strictly_ascending(self):
+        pts = gaussian_points(1500, seed=21)
+        rng = np.random.default_rng(22)
+        for idx in (GridIndex(pts, 9, 9), HierGridIndex(pts, 9, 9, HierConfig(max_bin_records=4))):
+            ext = idx.shape.extents
+            rects = [ext]
+            for _ in range(100):
+                x0, x1 = sorted(rng.uniform(ext.min.x, ext.max.x, 2).tolist())
+                y0, y1 = sorted(rng.uniform(ext.min.y, ext.max.y, 2).tolist())
+                rects.append(Extents(Point2D(x0, y0), Point2D(x1, y1)))
+            for rect in rects:
+                got = idx.range_query(rect)
+                assert all(type(rid) is int for rid in got)
+                assert all(a < b for a, b in zip(got, got[1:]))
+                assert json.loads(json.dumps(got)) == got
+            assert len(idx.range_query(ext)) == 1500
+
     def test_sees_mutations(self):
         src = pc((10.0, 10.0), (90.0, 90.0))
         idx = GridIndex(src, 4, 4)
@@ -247,3 +269,43 @@ class TestNearEdgeProbes:
             c = resolve_bin(p, shape)
             if c is not None:
                 assert shape.bin_rect(c).contains(p), (p, c)
+
+
+class TestRangeWindowEdges:
+    @settings(max_examples=120, deadline=None)
+    @given(grid_and_near_edge_probes(), st.data())
+    def test_edges_on_bin_edges_records_and_outside_match_oracle(self, grid_probes, data):
+        """Records sit on every bin edge and an ulp either side. Every such
+        coordinate bounds rectangles from below, from above and on both
+        sides, and random rectangles mix them with coordinates beyond the
+        extents, so a window one bin short on either side drops a record."""
+        idx, probes = grid_probes
+        ext = idx.shape.extents
+        corners = [(ext.min.x, ext.min.y), (ext.max.x, ext.max.y)]
+        pts = pc(*corners, *((p.x, p.y) for p in probes if ext.contains(p)))
+        dx, dy = idx.divisions_x, idx.divisions_y
+        indexes = [GridIndex(pts, dx, dy)]
+        if dx * dy >= 2:  # a hierarchical grid needs two bins per level
+            indexes.append(HierGridIndex(pts, dx, dy, HierConfig(max_bin_records=2)))
+        assert indexes[0].shape.extents == ext
+        brute = BruteForceIndex(pts)
+        out_x = (ext.min.x - ext.width, ext.max.x + ext.width)
+        out_y = (ext.min.y - ext.height, ext.max.y + ext.height)
+        xs = sorted({p.x for p in probes} | set(out_x))
+        ys = sorted({p.y for p in probes} | set(out_y))
+        rects = []
+        for v in xs:
+            rects += [(out_x[0], out_y[0], v, out_y[1]), (v, out_y[0], v, out_y[1])]
+            rects.append((v, out_y[0], out_x[1], out_y[1]))
+        for v in ys:
+            rects += [(out_x[0], out_y[0], out_x[1], v), (out_x[0], v, out_x[1], v)]
+            rects.append((out_x[0], v, out_x[1], out_y[1]))
+        for _ in range(20):
+            x0, x1 = sorted(data.draw(st.lists(st.sampled_from(xs), min_size=2, max_size=2)))
+            y0, y1 = sorted(data.draw(st.lists(st.sampled_from(ys), min_size=2, max_size=2)))
+            rects.append((x0, y0, x1, y1))
+        for x0, y0, x1, y1 in rects:
+            rect = Extents(Point2D(x0, y0), Point2D(x1, y1))
+            want = brute.range(rect)
+            for index in indexes:
+                assert index.range_query(rect) == want, (rect, type(index).__name__)
