@@ -144,41 +144,35 @@ def _config_label(ds_label: str, divisions: tuple[int, int], hierarchical: bool,
     return f"{ds_label}-{dx}x{dy}-{mode}"
 
 
-def _stats_row(
-    label: str,
-    n: int,
-    divisions: tuple[int, int],
-    hierarchical: bool,
-    mbr: int,
-    stats,
-    match_rate: float,
-) -> str:
-    return ",".join(
-        (
-            label,
-            str(n),
-            str(divisions[0]),
-            str(divisions[1]),
-            "true" if hierarchical else "false",
-            str(mbr if hierarchical else 0),
-            str(stats.cost_min),
-            str(stats.cost_max),
-            repr(float(stats.cost_mean)),
-            str(stats.interior_max),
-            repr(float(stats.interior_mean)),
-            repr(float(match_rate)),
-        )
-    )
-
-
-def _run_config(points, args, divisions, hierarchical):
+def _sweep_config(points, ds_label, args, divisions, hierarchical):
+    """Sweep, battery-check and heatmap one configuration: (label, stats,
+    match report, stats CSV row, heatmap path)."""
+    label = _config_label(ds_label, divisions, hierarchical, args.max_bin_records)
     index = _build_index(
         points, divisions, hierarchical, args.max_bin_records, args.smallest_bin_dimension
     )
     field = sweep_cost(index, *args.sweep_resolution)
     stats = summarize(field)
     report = match_battery(index, seed=args.seed + BATTERY_SEED_OFFSET)
-    return index, field, stats, report
+    pgm_path = f"{args.out}_{label}_{args.color}.pgm"
+    write_pgm(pgm_path, colorize(field, args.color, args.cap_fraction))
+    row = ",".join(
+        (
+            label,
+            str(points.record_count),
+            str(divisions[0]),
+            str(divisions[1]),
+            "true" if hierarchical else "false",
+            str(args.max_bin_records if hierarchical else 0),
+            str(stats.cost_min),
+            str(stats.cost_max),
+            repr(float(stats.cost_mean)),
+            str(stats.interior_max),
+            repr(float(stats.interior_mean)),
+            repr(float(report.match_rate)),
+        )
+    )
+    return label, stats, report, row, pgm_path
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -194,22 +188,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     points, ds_label = _load_dataset(args)
-    hierarchical = args.hierarchical == "true"
-    label = _config_label(ds_label, args.divisions, hierarchical, args.max_bin_records)
-    index, field, stats, report = _run_config(points, args, args.divisions, hierarchical)
-    pixels = colorize(field, args.color, args.cap_fraction)
-    pgm_path = f"{args.out}_{label}_{args.color}.pgm"
-    write_pgm(pgm_path, pixels)
-    csv_path = f"{args.out}_stats.csv"
-    row = _stats_row(
-        label,
-        points.record_count,
-        args.divisions,
-        hierarchical,
-        args.max_bin_records,
-        stats,
-        report.match_rate,
+    label, stats, report, row, pgm_path = _sweep_config(
+        points, ds_label, args, args.divisions, args.hierarchical == "true"
     )
+    csv_path = f"{args.out}_stats.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(STATS_HEADER + "\n" + row + "\n")
     print(f"{label}: interior max {stats.interior_max}, interior mean "
@@ -230,21 +212,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"{'config':<42} {'int.max':>8} {'int.mean':>9} {'max':>6} {'match':>7}")
     for divisions in args.divisions:
         for hierarchical in modes:
-            label = _config_label(ds_label, divisions, hierarchical, args.max_bin_records)
-            index, field, stats, report = _run_config(points, args, divisions, hierarchical)
-            pixels = colorize(field, args.color, args.cap_fraction)
-            write_pgm(f"{args.out}_{label}_{args.color}.pgm", pixels)
-            rows.append(
-                _stats_row(
-                    label,
-                    points.record_count,
-                    divisions,
-                    hierarchical,
-                    args.max_bin_records,
-                    stats,
-                    report.match_rate,
-                )
+            label, stats, report, row, _ = _sweep_config(
+                points, ds_label, args, divisions, hierarchical
             )
+            rows.append(row)
             print(
                 f"{label:<42} {stats.interior_max:>8} {stats.interior_mean:>9.2f} "
                 f"{stats.cost_max:>6} {report.match_rate:>7.4f}"

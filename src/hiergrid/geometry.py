@@ -17,6 +17,10 @@ import numpy as np
 # Absolute inflation applied per extents axis narrower than it, so bin sizes
 # are never zero (records identical, collinear or a subnormal distance apart).
 DEGENERATE_AXIS_EPS = 1e-9
+# Relative floor of that inflation: far from the origin eps is below one ulp
+# and would round away, so the pad grows with the axis' magnitude. It equals
+# eps up to |v| of about 1,100.
+DEGENERATE_AXIS_REL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,16 @@ class Extents:
         return Extents(Point2D(cx - hw, cy - hh), Point2D(cx + hw, cy + hh))
 
     def inflated_if_degenerate(self, eps: float = DEGENERATE_AXIS_EPS) -> "Extents":
-        """Inflate any axis narrower than eps by +-eps so grid bins are nonzero."""
+        """Inflate any axis narrower than eps by +-pad so grid bins are
+        nonzero; pad is eps or DEGENERATE_AXIS_REL of the axis' magnitude,
+        whichever is larger."""
         x0, x1, y0, y1 = self.min.x, self.max.x, self.min.y, self.max.y
         if x1 - x0 < eps:
-            x0, x1 = x0 - eps, x1 + eps
+            pad = max(eps, abs(x0) * DEGENERATE_AXIS_REL, abs(x1) * DEGENERATE_AXIS_REL)
+            x0, x1 = x0 - pad, x1 + pad
         if y1 - y0 < eps:
-            y0, y1 = y0 - eps, y1 + eps
+            pad = max(eps, abs(y0) * DEGENERATE_AXIS_REL, abs(y1) * DEGENERATE_AXIS_REL)
+            y0, y1 = y0 - pad, y1 + pad
         if (x0, y0) == (self.min.x, self.min.y):
             return self
         return Extents(Point2D(x0, y0), Point2D(x1, y1))
@@ -202,13 +210,6 @@ def dist_to_bin_boundary(p: Point2D, c: BinCoord, shape: GridShape) -> float:
     if not rect.contains(p):
         raise ValueError(f"point {p} is not inside bin {c}")
     return min(p.x - rect.min.x, rect.max.x - p.x, p.y - rect.min.y, rect.max.y - p.y)
-
-
-def rect_dist_sq(p: Point2D, rect: Extents) -> float:
-    """Squared distance from p to the closed rectangle (0 inside)."""
-    dx = max(rect.min.x - p.x, 0.0, p.x - rect.max.x)
-    dy = max(rect.min.y - p.y, 0.0, p.y - rect.max.y)
-    return dx * dx + dy * dy
 
 
 def default_smallest_dimension(extents: Extents) -> float:

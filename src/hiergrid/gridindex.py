@@ -1,12 +1,13 @@
-"""Single-layer fixed grid spatial index.
+"""Fixed grid spatial index and the one level search both flavours use.
 
 Records are rendered into a grid of id lists (the rendered grid, nulls where
 empty), every empty bin is then redirected to the list holding the record
 nearest its center (the filled grid), and nearest queries scan the query
 point's bin plus, when the home-bin short circuit does not fire, its
 1-neighborhood. A rebuild fetches every record once into one positions
-array and builds the root level from it; the hierarchical index builds the
-child levels of overfull bins with the same level builder.
+array and builds the root level from it. A list may own a child level (the
+hierarchical index adds them); the search delegates to it wherever it would
+scan that list, so the flat index is the case with no children.
 
 A level is built in numpy: levels of at least _VECTOR_SCAN_MIN records are
 binned and grouped in one pass (smaller ones loop over render_point), and
@@ -276,8 +277,7 @@ class _BuiltState:
     """One grid level; the root level is swapped in atomically.
 
     Every level of a build shares the root's positions array and holds root
-    record ids. children maps an overfull list to its child level, and
-    child_table holds each bin's child level, or is None when there are none.
+    record ids. children maps an overfull list to its child level.
     Every level shares its index's border ring (border_coords); only a root
     level holds the concatenated border arrays, which only the flat border
     scan of a root level without children reads.
@@ -296,7 +296,6 @@ class _BuiltState:
         "border_xs",
         "border_ys",
         "children",
-        "child_table",
     )
 
     def __init__(
@@ -318,7 +317,6 @@ class _BuiltState:
         self.border_xs: np.ndarray | None = None
         self.border_ys: np.ndarray | None = None
         self.children: dict[BinList, _BuiltState] = {}
-        self.child_table: list[_BuiltState | None] | None = None
 
     @property
     def sub_indexes(self) -> list["_BuiltState"]:
@@ -529,17 +527,18 @@ class GridIndex:
         return QueryResult(best.rid, math.sqrt(best.d2), best.cost, sc)
 
     def _search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> bool:
+        """Search one level: the border ring from outside the extents, else
+        the home list's child level, else the home list and, unless its
+        short circuit fires (returns True), its 1-neighborhood's lists."""
         c = resolve_bin(q, state.shape)
         if c is None:
             self._border_search(state, q, best, bound_d2)
             return False
-        return self._inside_search(state, q, c, best, bound_d2)
-
-    def _inside_search(
-        self, state: _BuiltState, q: Point2D, c: BinCoord, best: _Best, bound_d2: float
-    ) -> bool:
         filled = state.filled
         home = filled.at(c)
+        if home in state.children:
+            self._consult(state, home, q, best, bound_d2)
+            return False
         _scan_list(home, q.x, q.y, best)
         boundary = dist_to_bin_boundary(q, c, state.shape)
         if best.d2 < boundary * boundary:
@@ -550,29 +549,70 @@ class GridIndex:
             if lst in seen:
                 continue
             seen.add(lst)
-            self._consult(state, nc, lst, q, best, bound_d2)
+            self._consult(state, lst, q, best, bound_d2)
         return False
 
     def _consult(
-        self,
-        state: _BuiltState,
-        coord: BinCoord,
-        lst: BinList,
-        q: Point2D,
-        best: _Best,
-        bound_d2: float,
+        self, state: _BuiltState, lst: BinList, q: Point2D, best: _Best, bound_d2: float
     ) -> None:
-        _scan_list(lst, q.x, q.y, best)
+        """Scan lst, or delegate to its child level when it has one."""
+        child = state.children.get(lst)
+        if child is None:
+            _scan_list(lst, q.x, q.y, best)
+        else:
+            self._delegate(child, q, best, bound_d2)
+
+    def _delegate(self, child: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
+        """Run the query in a child level with its own running best, whose
+        short circuit and border pruning see only the child's candidates,
+        then offer the child's winner here."""
+        local = _Best()
+        self._search(child, q, local, min(bound_d2, best.d2))
+        best.cost += local.cost
+        if local.rid >= 0:
+            best.offer(local.d2, local.rid)
 
     def _border_search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
-        """Out-of-extents edge scan: every border-ring list, each once."""
-        dx = state.border_xs - q.x
-        dy = state.border_ys - q.y
-        d2 = dx * dx + dy * dy
-        best.cost += len(d2)
-        m = float(d2.min())
-        rid = int(state.border_ids[d2 == m].min())  # ties: lowest id
-        best.offer(m, rid)
+        """Out-of-extents scan of the border ring, each distinct list once.
+
+        A root level with no children scans the ring's records in one vector
+        pass. Other levels may hold subdivided border bins, so they visit bins
+        by ascending rectangle distance until none can beat the running best.
+        """
+        if not state.depth and not state.children:
+            dx = state.border_xs - q.x
+            dy = state.border_ys - q.y
+            d2 = dx * dx + dy * dy
+            best.cost += len(d2)
+            m = float(d2.min())
+            rid = int(state.border_ids[d2 == m].min())  # ties: lowest id
+            best.offer(m, rid)
+            return
+        shape = state.shape
+        ext = shape.extents
+        bw, bh = shape.bin_width, shape.bin_height
+        qx, qy = q.x, q.y
+        ranked = []
+        for c in state.border_coords:
+            x0 = ext.min.x + c.i * bw
+            x1 = ext.min.x + (c.i + 1) * bw
+            y0 = ext.min.y + c.j * bh
+            y1 = ext.min.y + (c.j + 1) * bh
+            dx = x0 - qx if qx < x0 else (qx - x1 if qx > x1 else 0.0)
+            dy = y0 - qy if qy < y0 else (qy - y1 if qy > y1 else 0.0)
+            ranked.append((dx * dx + dy * dy, c.j, c.i))
+        ranked.sort()
+        bins = state.filled.flat
+        seen: set[int] = set()
+        for rd2, j, i in ranked:
+            limit = bound_d2 if bound_d2 < best.d2 else best.d2
+            if rd2 > limit:
+                break
+            lst = bins[j * shape.divisions_x + i]
+            if id(lst) in seen:
+                continue
+            seen.add(id(lst))
+            self._consult(state, lst, q, best, bound_d2)
 
     def range_query(self, rect: Extents) -> list[RecordId]:
         """Ids of records inside the closed rectangle, ascending: one mask

@@ -3,9 +3,9 @@
 After a level is built, every unique bin list holding more than
 max_bin_records records gets a child level, built by the same level builder
 over that list's root record ids on their tight bounding box, recursing
-until lists are small enough or bins reach the minimum dimension. Queries
-landing in a subdivided bin are delegated; neighborhood and border scans
-consult child levels instead of scanning raw lists.
+until lists are small enough or bins reach the minimum dimension, or a
+child's box would equal its level's. Queries run GridIndex's level search,
+which delegates to a child level wherever it would scan a subdivided list.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .geometry import (
     Point2D,
     default_smallest_dimension,
 )
-from .gridindex import BinList, GridIndex, _Best, _BuiltState, _scan_list
+from .gridindex import GridIndex, _BuiltState
 from .sources import IndexableSource, RecordId
 
 
@@ -58,6 +58,10 @@ class HierGridIndex(GridIndex):
 
     # -- subdivision ---------------------------------------------------------
 
+    # The query engine is GridIndex's; this binding only keeps the name that
+    # perfbench's tracer counts delegations under (ROADMAP item 2).
+    _delegate = GridIndex._delegate
+
     def _on_after_rebuilt(self, state: _BuiltState) -> None:
         cfg = self.config
         if state.size_floor is None:  # the root level
@@ -77,11 +81,11 @@ class HierGridIndex(GridIndex):
             pts = positions[lst.ids_arr]
             lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
             extents = Extents(Point2D(*lo), Point2D(*hi)).inflated_if_degenerate()
+            if extents == shape.extents:
+                continue  # a child over the same box would subdivide forever
             state.children[lst] = self._build_level(
                 positions, lst.ids, extents, state.depth + 1, floor
             )
-        if state.children:
-            state.child_table = [state.children.get(lst) for lst in state.filled.flat]
 
     # -- inspection ----------------------------------------------------------
 
@@ -92,8 +96,8 @@ class HierGridIndex(GridIndex):
 
     def sub_at(self, c: BinCoord) -> Optional[_BuiltState]:
         """The child level bin c delegates to, if any."""
-        table = self.ensure_built().child_table
-        return None if table is None else table[c.j * self.divisions_x + c.i]
+        state = self.ensure_built()
+        return state.children.get(state.filled.at(c))
 
     def leaf_occupancies(self) -> list[tuple[Extents, tuple[RecordId, ...]]]:
         """(bin rectangle, ascending root record ids) for every occupied
@@ -110,80 +114,3 @@ class HierGridIndex(GridIndex):
 
         collect(self.ensure_built())
         return out
-
-    # -- queries -------------------------------------------------------------
-
-    def _inside_search(
-        self, state: _BuiltState, q: Point2D, c: BinCoord, best: _Best, bound_d2: float
-    ) -> bool:
-        table = state.child_table
-        if table is not None:
-            child = table[c.j * state.shape.divisions_x + c.i]
-            if child is not None:
-                self._delegate(child, q, best, bound_d2)
-                return False
-        return super()._inside_search(state, q, c, best, bound_d2)
-
-    def _consult(
-        self,
-        state: _BuiltState,
-        coord: BinCoord,
-        lst: BinList,
-        q: Point2D,
-        best: _Best,
-        bound_d2: float,
-    ) -> None:
-        child = state.children.get(lst)
-        if child is None:
-            _scan_list(lst, q.x, q.y, best)
-        else:
-            self._delegate(child, q, best, bound_d2)
-
-    def _delegate(self, child: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
-        """Run the query in a child level with its own running best, whose
-        short circuit and border pruning see only the child's candidates,
-        then offer the child's winner here."""
-        local = _Best()
-        self._search(child, q, local, min(bound_d2, best.d2))
-        best.cost += local.cost
-        if local.rid >= 0:
-            best.offer(local.d2, local.rid)
-
-    def _border_search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
-        """Out-of-extents scan in nearest-bin-first order with pruning.
-
-        A child level cannot hand a whole concatenated border to one vector
-        scan the way the flat index does, because consulted bins may
-        themselves be subdivided; visiting bins by ascending rectangle
-        distance and stopping once no unvisited bin can beat the running
-        best keeps delegated edge scans cheap. A root level with no
-        children keeps the flat scan, and with it the exact flat-index cost.
-        """
-        if state.depth == 0 and not state.children:
-            super()._border_search(state, q, best, bound_d2)
-            return
-        shape = state.shape
-        ext = shape.extents
-        bw, bh = shape.bin_width, shape.bin_height
-        qx, qy = q.x, q.y
-        ranked = []
-        for c in state.border_coords:
-            x0 = ext.min.x + c.i * bw
-            x1 = ext.min.x + (c.i + 1) * bw
-            y0 = ext.min.y + c.j * bh
-            y1 = ext.min.y + (c.j + 1) * bh
-            dx = x0 - qx if qx < x0 else (qx - x1 if qx > x1 else 0.0)
-            dy = y0 - qy if qy < y0 else (qy - y1 if qy > y1 else 0.0)
-            ranked.append((dx * dx + dy * dy, c.j, c.i))
-        ranked.sort()
-        filled = state.filled
-        seen: set[int] = set()
-        for rd2, j, i in ranked:
-            limit = bound_d2 if bound_d2 < best.d2 else best.d2
-            if rd2 > limit:
-                break
-            lst = filled.at(BinCoord(i, j))
-            if id(lst) in seen:
-                continue
-            seen.add(id(lst))
-            self._consult(state, BinCoord(i, j), lst, q, best, bound_d2)

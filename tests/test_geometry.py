@@ -19,7 +19,7 @@ from hiergrid import (
     neighborhood,
     resolve_bin,
 )
-from hiergrid.geometry import DEGENERATE_AXIS_EPS, rect_dist_sq
+from hiergrid.geometry import DEGENERATE_AXIS_EPS
 
 UNIT = Extents(Point2D(0.0, 0.0), Point2D(100.0, 100.0))
 SHAPE10 = GridShape(10, 10, UNIT)
@@ -221,13 +221,6 @@ class TestDistances:
         scale = max(abs(ext.min.x), abs(ext.min.y), abs(ext.max.x), abs(ext.max.y), 1.0)
         slack = 8.0 * np.spacing(scale)
         assert d <= min(shape.bin_width, shape.bin_height) / 2 + slack
-
-    def test_rect_dist_sq(self):
-        rect = Extents(Point2D(0.0, 0.0), Point2D(10.0, 10.0))
-        assert rect_dist_sq(Point2D(5.0, 5.0), rect) == 0.0
-        assert rect_dist_sq(Point2D(10.0, 10.0), rect) == 0.0
-        assert rect_dist_sq(Point2D(13.0, 14.0), rect) == 25.0
-        assert rect_dist_sq(Point2D(-2.0, 5.0), rect) == 4.0
 
 
 class TestBoundingExtents:

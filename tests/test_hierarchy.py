@@ -4,6 +4,8 @@ import pytest
 
 from hiergrid import (
     BinCoord,
+    BruteForceIndex,
+    Extents,
     GridIndex,
     HierConfig,
     HierGridIndex,
@@ -199,6 +201,39 @@ class TestTermination:
             n = idx.source.record_count
             assert idx.range_query(idx.shape.extents) == list(range(n))
             assert idx.nearest(Point2D(0.0, 0.0)).distance == 0.0
+
+
+    @pytest.mark.parametrize("magnitude", [0.0, 1e7, 1e12, -1e15])
+    @pytest.mark.parametrize("layout", ["duplicate", "collinear"])
+    @pytest.mark.parametrize("kind", ["flat", "hier", "hier-fine-floor"])
+    def test_degenerate_data_at_any_magnitude(self, magnitude, layout, kind):
+        # a flat axis must inflate by more than an ulp of its coordinates,
+        # and a child level over its parent's own box must not be built
+        m = magnitude
+        if layout == "duplicate":
+            pts = [[m, m]] * 3
+        else:
+            pts = [[m, m], [m, m + 1.0], [m, m + 1.0], [m, m + 2.0]]
+        source = PointCollection(pts)
+        if kind == "flat":
+            idx = GridIndex(source, 2, 2)
+        else:
+            floor = 1e-15 if kind == "hier-fine-floor" else None
+            idx = HierGridIndex(source, 2, 2, HierConfig(1, smallest_bin_dimension=floor))
+        brute = BruteForceIndex(source)
+        ext = idx.shape.extents
+        pad = 10.0 * max(ext.width, ext.height)
+        queries = [Point2D(x, y) for x, y in pts] + [
+            Point2D(ext.min.x - pad, ext.min.y - pad),
+            Point2D(ext.max.x + pad, ext.min.y - pad),
+            Point2D(ext.min.x - pad, ext.max.y + pad),
+            Point2D(ext.max.x + pad, ext.max.y + pad),
+        ]
+        for q in queries:
+            got, want = idx.nearest(q), brute.nearest(q)
+            assert (got.record, got.distance) == (want.record, want.distance)
+        for rect in (ext, Extents(Point2D(m, m), Point2D(m, m + 1.0))):
+            assert idx.range_query(rect) == brute.range(rect)
 
 
 class TestLeafOccupancies:
