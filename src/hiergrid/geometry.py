@@ -205,11 +205,18 @@ def dist_sq(a: Point2D, b: Point2D) -> float:
 
 
 def dist_to_bin_boundary(p: Point2D, c: BinCoord, shape: GridShape) -> float:
-    """Minimum perpendicular distance from p to the four edges of bin c."""
-    rect = shape.bin_rect(c)
-    if not rect.contains(p):
+    """Minimum perpendicular distance from p to the four edges of bin c,
+    with bin_rect's edges computed in place."""
+    ext = shape.extents
+    bw, bh = shape.bin_width, shape.bin_height
+    x0 = ext.min.x + c.i * bw
+    y0 = ext.min.y + c.j * bh
+    x1 = ext.max.x if c.i == shape.divisions_x - 1 else ext.min.x + (c.i + 1) * bw
+    y1 = ext.max.y if c.j == shape.divisions_y - 1 else ext.min.y + (c.j + 1) * bh
+    px, py = p.x, p.y
+    if not (x0 <= px <= x1 and y0 <= py <= y1):
         raise ValueError(f"point {p} is not inside bin {c}")
-    return min(p.x - rect.min.x, rect.max.x - p.x, p.y - rect.min.y, rect.max.y - p.y)
+    return min(px - x0, x1 - px, py - y0, y1 - py)
 
 
 def default_smallest_dimension(extents: Extents) -> float:

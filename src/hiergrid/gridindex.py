@@ -16,6 +16,7 @@ gap fill is one argmin over empty-bin centers x the level's records.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -258,13 +259,18 @@ class QueryResult:
 
 
 class _Best:
-    """Running best candidate plus the examined-records counter."""
+    """Running best candidate plus the examined-records counter.
+
+    Before any candidate, rid is above every record id, so the first
+    candidate wins the (d2, id) comparison even at d2 = inf (an overflowed
+    square), and candidates tied at inf go to the lowest id.
+    """
 
     __slots__ = ("d2", "rid", "cost")
 
     def __init__(self) -> None:
         self.d2 = math.inf
-        self.rid = -1
+        self.rid = sys.maxsize
         self.cost = 0
 
     def offer(self, d2: float, rid: RecordId) -> None:
@@ -328,6 +334,19 @@ def _clamp(v: int, lo: int, hi: int) -> int:
     return lo if v < lo else hi if v > hi else v
 
 
+def _gaps_sq(v: float, lo: float, size: float, n: int) -> list[float]:
+    """Squared gap from coordinate v to each of n bins along one axis, the
+    bin k spanning [lo + k * size, lo + (k + 1) * size]; 0 inside a bin."""
+    out = []
+    x0 = lo
+    for k in range(1, n + 1):
+        x1 = lo + k * size
+        d = x0 - v if v < x0 else (v - x1 if v > x1 else 0.0)
+        out.append(d * d)
+        x0 = x1
+    return out
+
+
 def _scan_list(lst: BinList, qx: float, qy: float, best: _Best) -> None:
     """Linear scan of one list; every id counts as one distance evaluation."""
     n = len(lst.ids)
@@ -368,12 +387,17 @@ class GridIndex:
         self._state: _BuiltState | None = None
         self._lock = threading.Lock()
         # every level has these divisions, so all levels share one ring
+        # (row-major); the ranked border visit reads its columns, rows and
+        # flat bin indices
         self._border_coords = [
             BinCoord(i, j)
             for j in range(divisions_y)
             for i in range(divisions_x)
             if i in (0, divisions_x - 1) or j in (0, divisions_y - 1)
         ]
+        self._ring_i = [c.i for c in self._border_coords]
+        self._ring_j = [c.j for c in self._border_coords]
+        self._ring_flat = [c.j * divisions_x + c.i for c in self._border_coords]
 
     # -- inspection --------------------------------------------------------
 
@@ -524,7 +548,11 @@ class GridIndex:
         state = self.ensure_built()
         best = _Best()
         sc = self._search(state, q, best, math.inf)
-        return QueryResult(best.rid, math.sqrt(best.d2), best.cost, sc)
+        distance = math.sqrt(best.d2)
+        if distance == math.inf:  # the squared distance overflowed
+            x, y = state.positions[best.rid].tolist()
+            distance = math.hypot(x - q.x, y - q.y)
+        return QueryResult(best.rid, distance, best.cost, sc)
 
     def _search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> bool:
         """Search one level: the border ring from outside the extents, else
@@ -565,12 +593,12 @@ class GridIndex:
     def _delegate(self, child: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
         """Run the query in a child level with its own running best, whose
         short circuit and border pruning see only the child's candidates,
-        then offer the child's winner here."""
+        then offer the child's winner here (a child that pruned every bin
+        offers _Best's initial state, which never wins)."""
         local = _Best()
         self._search(child, q, local, min(bound_d2, best.d2))
         best.cost += local.cost
-        if local.rid >= 0:
-            best.offer(local.d2, local.rid)
+        best.offer(local.d2, local.rid)
 
     def _border_search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
         """Out-of-extents scan of the border ring, each distinct list once.
@@ -578,6 +606,9 @@ class GridIndex:
         A root level with no children scans the ring's records in one vector
         pass. Other levels may hold subdivided border bins, so they visit bins
         by ascending rectangle distance until none can beat the running best.
+        A bin's squared distance is its column's squared gap plus its row's,
+        with bin edges at min + k * bin_size; a stable sort of the row-major
+        ring breaks ties by (row, column).
         """
         if not state.depth and not state.children:
             dx = state.border_xs - q.x
@@ -590,25 +621,17 @@ class GridIndex:
             return
         shape = state.shape
         ext = shape.extents
-        bw, bh = shape.bin_width, shape.bin_height
-        qx, qy = q.x, q.y
-        ranked = []
-        for c in state.border_coords:
-            x0 = ext.min.x + c.i * bw
-            x1 = ext.min.x + (c.i + 1) * bw
-            y0 = ext.min.y + c.j * bh
-            y1 = ext.min.y + (c.j + 1) * bh
-            dx = x0 - qx if qx < x0 else (qx - x1 if qx > x1 else 0.0)
-            dy = y0 - qy if qy < y0 else (qy - y1 if qy > y1 else 0.0)
-            ranked.append((dx * dx + dy * dy, c.j, c.i))
-        ranked.sort()
+        ddx = _gaps_sq(q.x, ext.min.x, shape.bin_width, shape.divisions_x)
+        ddy = _gaps_sq(q.y, ext.min.y, shape.bin_height, shape.divisions_y)
+        d2s = [ddx[i] + ddy[j] for i, j in zip(self._ring_i, self._ring_j)]
+        ring_flat = self._ring_flat
         bins = state.filled.flat
         seen: set[int] = set()
-        for rd2, j, i in ranked:
+        for k in sorted(range(len(d2s)), key=d2s.__getitem__):
             limit = bound_d2 if bound_d2 < best.d2 else best.d2
-            if rd2 > limit:
+            if d2s[k] > limit:
                 break
-            lst = bins[j * shape.divisions_x + i]
+            lst = bins[ring_flat[k]]
             if id(lst) in seen:
                 continue
             seen.add(id(lst))

@@ -58,9 +58,11 @@ class HierGridIndex(GridIndex):
 
     # -- subdivision ---------------------------------------------------------
 
-    # The query engine is GridIndex's; this binding only keeps the name that
-    # perfbench's tracer counts delegations under (ROADMAP item 2).
+    # The query engine is GridIndex's; these bindings only keep the names
+    # that perfbench's tracer counts delegations and times border visits
+    # under (ROADMAP item 1).
     _delegate = GridIndex._delegate
+    _border_search = GridIndex._border_search
 
     def _on_after_rebuilt(self, state: _BuiltState) -> None:
         cfg = self.config

@@ -114,8 +114,10 @@ class PointCollection(IndexableSource):
         if len(self._pts) == 0:
             raise EmptySourceError("extents of an empty collection")
         if self._extents is None:
-            lo = self._pts.min(axis=0)
-            hi = self._pts.max(axis=0)
+            # Python floats: the root level's query arithmetic reads these,
+            # and numpy scalars would make every operation there a numpy call
+            lo = self._pts.min(axis=0).tolist()
+            hi = self._pts.max(axis=0).tolist()
             self._extents = bounding_extents([(lo[0], lo[1]), (hi[0], hi[1])])
         return self._extents
 

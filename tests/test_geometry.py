@@ -209,6 +209,38 @@ class TestDistances:
         with pytest.raises(ValueError):
             dist_to_bin_boundary(Point2D(15.0, 5.0), BinCoord(0, 0), SHAPE10)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _shape_and_cell(),
+        st.booleans(),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from(["left", "right", "below", "above"]),
+    )
+    def test_boundary_distance_equals_bin_rect_formula(
+        self, shape_cell, last_col, last_row, fx, fy, side
+    ):
+        shape, c = shape_cell
+        c = BinCoord(
+            shape.divisions_x - 1 if last_col else c.i,
+            shape.divisions_y - 1 if last_row else c.j,
+        )
+        rect = shape.bin_rect(c)
+        # a point of the closed rectangle, its edges included
+        x = min(rect.min.x + fx * rect.width, rect.max.x)
+        y = min(rect.min.y + fy * rect.height, rect.max.y)
+        want = min(x - rect.min.x, rect.max.x - x, y - rect.min.y, rect.max.y - y)
+        assert dist_to_bin_boundary(Point2D(x, y), c, shape).hex() == want.hex()
+        outside = {
+            "left": Point2D(math.nextafter(rect.min.x, -math.inf), y),
+            "right": Point2D(math.nextafter(rect.max.x, math.inf), y),
+            "below": Point2D(x, math.nextafter(rect.min.y, -math.inf)),
+            "above": Point2D(x, math.nextafter(rect.max.y, math.inf)),
+        }[side]
+        with pytest.raises(ValueError):
+            dist_to_bin_boundary(outside, c, shape)
+
     @settings(max_examples=150, deadline=None)
     @given(_shape_and_cell())
     def test_boundary_distance_bounded_by_half_bin(self, shape_cell):

@@ -1,4 +1,6 @@
 """Subdivision policy, delegation and quad-tree equivalence."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -371,6 +373,32 @@ class TestQueriesDelegate:
             worst = max(worst, res.records_examined)
             assert 0 <= res.record < 5000
         assert worst < 50  # pruned edge scan, not a 1000-record sweep
+
+
+class TestBorderOrder:
+    # sha256 of (record, records_examined) over every layout and query below
+    PINNED = "946bda4b8321157425dfe20163dbc9495a4dd838b8d6cfbb4affbceeef647857"
+
+    def test_ring_ties_visit_in_row_then_column_order(self):
+        # On an integer lattice many border bins lie at equal distance from
+        # an outside query, so the order in which tied bins are visited
+        # decides which equally near record is found first and what the
+        # pruned visit costs; ties go to the lower row, then the lower column.
+        lattice = [(float(x), float(y)) for y in range(9) for x in range(9)]
+        steps = [-1.0 + 0.5 * k for k in range(21)]
+        queries = (
+            [(v, -1.0) for v in steps]
+            + [(v, 9.0) for v in steps]
+            + [(-1.0, v) for v in steps]
+            + [(9.0, v) for v in steps]
+        )
+        h = hashlib.sha256()
+        for dx, dy, b in [(4, 4, 1), (3, 3, 2), (2, 2, 1), (5, 3, 1)]:
+            idx = HierGridIndex(PointCollection(lattice), dx, dy, HierConfig(max_bin_records=b))
+            for x, y in queries:
+                r = idx.nearest(Point2D(x, y))
+                h.update(f"{r.record} {r.records_examined}\n".encode())
+        assert h.hexdigest() == self.PINNED
 
 
 class TestLazyRebuild:

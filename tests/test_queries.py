@@ -64,6 +64,34 @@ class TestNearestBasics:
             want = math.hypot(pos[res.record, 0] - q.x, pos[res.record, 1] - q.y)
             assert res.distance == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "make, q",
+        [
+            (lambda: GridIndex(pc(*[(1e160, 1e160)] * 3), 2, 2), Point2D(5e159, 1e160)),
+            (lambda: GridIndex(uniform_points(500, seed=1), 4, 4), Point2D(1e200, 0.0)),
+            (
+                lambda: HierGridIndex(uniform_points(500, seed=1), 4, 4, HierConfig(1)),
+                Point2D(1e200, 0.0),
+            ),
+            (
+                lambda: HierGridIndex(uniform_points(500, seed=1), 2, 2, HierConfig(1)),
+                Point2D(-1e200, 1e200),
+            ),
+        ],
+        ids=["flat-duplicates-1e160", "flat-1e200", "hier-4x4-1e200", "hier-2x2-1e200"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_squared_distances_still_return_a_record(self, make, q):
+        # every squared distance overflows to inf; the first candidate must
+        # still win, ties to the lowest id, at its true distance
+        idx = make()
+        res = idx.nearest(q)
+        pos = idx.source.positions.tolist()
+        dist = [math.hypot(x - q.x, y - q.y) for x, y in pos]
+        assert res.record == 0
+        assert res.distance == dist[0] == min(dist)
+        assert math.isfinite(res.distance)
+
     def test_never_beats_the_oracle(self):
         pts = uniform_points(600, seed=10)
         idx = GridIndex(pts, 8, 8)

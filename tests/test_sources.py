@@ -103,6 +103,11 @@ class TestComputeExtents:
         with pytest.raises(EmptySourceError):
             _ = pc().data_extents
 
+    def test_corners_are_python_floats(self):
+        # the root level's query arithmetic reads them on every query
+        e = PointCollection(np.array([[1.0, 7.0], [5.0, 2.0]])).data_extents
+        assert all(type(v) is float for v in (e.min.x, e.min.y, e.max.x, e.max.y))
+
 
 class TestSubGridSource:
     def test_fetch_remaps_through_ids(self):
