@@ -27,6 +27,16 @@ STATS_HEADER = (
 BATTERY_SEED_OFFSET = 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _parse_divisions(text: str) -> tuple[int, int]:
     try:
         xs, ys = text.lower().split("x")
@@ -50,7 +60,9 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
         help="point set to index (default: uniform)",
     )
     p.add_argument("--file", help="points file for --dataset file (x,y per line)")
-    p.add_argument("--n", type=int, default=5000, help="generated record count (default: 5000)")
+    p.add_argument(
+        "--n", type=_positive_int, default=5000, help="generated record count (default: 5000)"
+    )
     p.add_argument("--seed", type=int, default=42, help="dataset RNG seed (default: 42)")
 
 
@@ -114,8 +126,6 @@ def _load_dataset(args: argparse.Namespace) -> tuple[PointCollection, str]:
             raise SystemExit("--dataset file requires --file")
         points = load_points(args.file)
         return points, f"file-{Path(args.file).stem}"
-    if args.n < 1:
-        raise SystemExit(f"--n must be >= 1, got {args.n}")
     if args.dataset == "uniform":
         return uniform_points(args.n, seed=args.seed), f"uniform-n{args.n}-seed{args.seed}"
     return gaussian_points(args.n, seed=args.seed), f"gaussian-n{args.n}-seed{args.seed}"
@@ -316,8 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized oracle batteries; exit 1 on hard failure")
     _add_dataset_args(p)
     _add_index_args(p)
-    p.add_argument("--queries", type=int, default=4096, help="nearest queries (default: 4096)")
-    p.add_argument("--ranges", type=int, default=256, help="range queries (default: 256)")
+    p.add_argument(
+        "--queries", type=_positive_int, default=4096, help="nearest queries (default: 4096)"
+    )
+    p.add_argument(
+        "--ranges", type=_positive_int, default=256, help="range queries (default: 256)"
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser

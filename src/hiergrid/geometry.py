@@ -72,10 +72,11 @@ class Extents:
         hw, hh = self.width * factor / 2.0, self.height * factor / 2.0
         return Extents(Point2D(cx - hw, cy - hh), Point2D(cx + hw, cy + hh))
 
-    def inflated_if_degenerate(self, eps: float = DEGENERATE_AXIS_EPS) -> "Extents":
-        """Inflate any axis narrower than eps by +-pad so grid bins are
-        nonzero; pad is eps or DEGENERATE_AXIS_REL of the axis' magnitude,
-        whichever is larger."""
+    def inflated_if_degenerate(self) -> "Extents":
+        """Inflate any axis narrower than DEGENERATE_AXIS_EPS by +-pad so grid
+        bins are nonzero; pad is that eps or DEGENERATE_AXIS_REL of the axis'
+        magnitude, whichever is larger."""
+        eps = DEGENERATE_AXIS_EPS
         x0, x1, y0, y1 = self.min.x, self.max.x, self.min.y, self.max.y
         if x1 - x0 < eps:
             pad = max(eps, abs(x0) * DEGENERATE_AXIS_REL, abs(x1) * DEGENERATE_AXIS_REL)
@@ -169,23 +170,15 @@ def axis_bins(v: np.ndarray, lo: float, size: float, n: int) -> np.ndarray:
     return k - below + above
 
 
-def neighborhood(c: BinCoord, n: int, shape: GridShape) -> list[BinCoord]:
-    """In-grid coordinates at Chebyshev distance exactly n from c.
-
-    Diagonals count as connected; c itself is excluded; row-major order.
-    """
-    if n < 1:
-        raise ValueError(f"neighborhood ring must be >= 1, got {n}")
+def neighborhood(c: BinCoord, shape: GridShape) -> list[BinCoord]:
+    """In-grid coordinates of the up to 8 bins around c (its Chebyshev ring
+    1), as a fresh list in row-major order; c itself is excluded."""
     out: list[BinCoord] = []
-    for dj in range(-n, n + 1):
-        j = c.j + dj
+    for j in range(c.j - 1, c.j + 2):
         if j < 0 or j >= shape.divisions_y:
             continue
-        for di in range(-n, n + 1):
-            if max(abs(di), abs(dj)) != n:
-                continue
-            i = c.i + di
-            if 0 <= i < shape.divisions_x:
+        for i in range(c.i - 1, c.i + 2):
+            if 0 <= i < shape.divisions_x and (i != c.i or j != c.j):
                 out.append(BinCoord(i, j))
     return out
 

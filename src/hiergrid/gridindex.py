@@ -134,7 +134,9 @@ class RenderedGrid:
         shape = self.shape
         ext = shape.extents
         xs, ys = pts[:, 0], pts[:, 1]
-        outside = (xs < ext.min.x) | (xs > ext.max.x) | (ys < ext.min.y) | (ys > ext.max.y)
+        # written as a negated inside test so NaN, which fails every
+        # comparison, counts as outside
+        outside = ~((xs >= ext.min.x) & (xs <= ext.max.x) & (ys >= ext.min.y) & (ys <= ext.max.y))
         if outside.any():
             p = Point2D(*pts[int(outside.argmax())].tolist())
             raise OutsideExtentsError(f"point {p} outside grid extents")
@@ -283,10 +285,10 @@ class _BuiltState:
     """One grid level; the root level is swapped in atomically.
 
     Every level of a build shares the root's positions array and holds root
-    record ids. children maps an overfull list to its child level.
-    Every level shares its index's border ring (border_coords); only a root
-    level holds the concatenated border arrays, which only the flat border
-    scan of a root level without children reads.
+    record ids. children maps an overfull list to its child level. Only a
+    root level holds the concatenated border arrays, which only the flat
+    border scan of a root level without children reads; every other level
+    walks its index's border ring through filled.
     """
 
     __slots__ = (
@@ -297,7 +299,6 @@ class _BuiltState:
         "depth",
         "version",
         "size_floor",
-        "border_coords",
         "border_ids",
         "border_xs",
         "border_ys",
@@ -318,7 +319,6 @@ class _BuiltState:
         self.depth = depth
         self.version: int | None = None
         self.size_floor = size_floor
-        self.border_coords: list[BinCoord] = []
         self.border_ids: np.ndarray | None = None
         self.border_xs: np.ndarray | None = None
         self.border_ys: np.ndarray | None = None
@@ -386,18 +386,17 @@ class GridIndex:
         self.divisions_y = divisions_y
         self._state: _BuiltState | None = None
         self._lock = threading.Lock()
-        # every level has these divisions, so all levels share one ring
-        # (row-major); the ranked border visit reads its columns, rows and
-        # flat bin indices
-        self._border_coords = [
-            BinCoord(i, j)
+        # every level has these divisions, so all levels share one border
+        # ring: its flat bin indices in row-major order, and their columns
+        # and rows for the ranked border visit
+        self._ring_flat = [
+            j * divisions_x + i
             for j in range(divisions_y)
             for i in range(divisions_x)
             if i in (0, divisions_x - 1) or j in (0, divisions_y - 1)
         ]
-        self._ring_i = [c.i for c in self._border_coords]
-        self._ring_j = [c.j for c in self._border_coords]
-        self._ring_flat = [c.j * divisions_x + c.i for c in self._border_coords]
+        self._ring_i = [f % divisions_x for f in self._ring_flat]
+        self._ring_j = [f // divisions_x for f in self._ring_flat]
 
     # -- inspection --------------------------------------------------------
 
@@ -432,8 +431,7 @@ class GridIndex:
         """Fetch every record once, build the root level and swap it in.
 
         The root level records the source version read before fetching, so
-        a mutation that lands during the rebuild triggers the next one. The
-        source's changed flag is cleared only when no mutation landed.
+        a mutation that lands during the rebuild triggers the next one.
         """
         source = self._source
         version = source.version
@@ -450,8 +448,6 @@ class GridIndex:
         state = self._build_level(positions, range(n), extents)
         state.version = version
         self._state = state
-        if source.version == version:
-            source.changed = False
 
     def _build_level(
         self,
@@ -525,15 +521,15 @@ class GridIndex:
                 bins[f] = lists[w]
 
     def _prepare_border(self, state: _BuiltState) -> None:
-        """Share the index's border ring (row-major) and, on a root level,
-        concatenate the ring's distinct lists for the flat border scan."""
-        state.border_coords = self._border_coords
+        """On a root level, concatenate the distinct lists of the border ring
+        (row-major) for the flat border scan."""
         if state.depth:
             return
+        bins = state.filled.flat
         seen: set[int] = set()
         lists = []
-        for c in state.border_coords:
-            lst = state.filled.at(c)
+        for f in self._ring_flat:
+            lst = bins[f]
             if id(lst) not in seen:
                 seen.add(id(lst))
                 lists.append(lst)
@@ -572,7 +568,7 @@ class GridIndex:
         if best.d2 < boundary * boundary:
             return True
         seen = {home}
-        for nc in neighborhood(c, 1, state.shape):
+        for nc in neighborhood(c, state.shape):
             lst = filled.at(nc)
             if lst in seen:
                 continue

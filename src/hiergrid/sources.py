@@ -40,14 +40,13 @@ class Record:
 class IndexableSource(ABC):
     """What a collection must expose to be indexable.
 
-    The version is the lazy-rebuild handshake: it increases with every
-    mutation, an index records the version it read before fetching, and it
-    rebuilds whenever the source's version differs from that one, so any
-    number of indexes can share one source. Reads may be concurrent with
-    each other but not with mutation.
+    The version is the only contract between a source and its indexes: it
+    increases with every mutation, an index records the version it read
+    before fetching, and it rebuilds whenever the source's version differs
+    from that one. The source keeps no state about its indexes, so any
+    number of them can share it, each rebuilding on its own. Reads may be
+    concurrent with each other but not with mutation.
     """
-
-    _acked_version = -1
 
     @property
     @abstractmethod
@@ -62,17 +61,6 @@ class IndexableSource(ABC):
     @abstractmethod
     def version(self) -> int:
         """Monotonically increasing; changes whenever any record changes."""
-
-    @property
-    def changed(self) -> bool:
-        """Compatibility view of the handshake: True from any mutation until
-        an index that finished a rebuild with no mutation landing during it
-        sets it False, acknowledging the current version."""
-        return self._acked_version != self.version
-
-    @changed.setter
-    def changed(self, value: bool) -> None:
-        self._acked_version = -1 if value else self.version
 
     @abstractmethod
     def fetch(self, rid: RecordId, scratch: Record) -> Record:

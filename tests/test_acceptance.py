@@ -82,7 +82,7 @@ def window_records(idx: GridIndex, c) -> int:
     Gap-filled bins share their lists with occupied ones, so lists are
     deduplicated by identity, as the flat query does before scanning.
     """
-    window = [idx.filled.at(b) for b in [c, *neighborhood(c, 1, idx.shape)]]
+    window = [idx.filled.at(b) for b in [c, *neighborhood(c, idx.shape)]]
     return sum(len(lst) for lst in {id(lst): lst for lst in window}.values())
 
 

@@ -117,6 +117,22 @@ class TestSweep:
             main(["sweep", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--n", "0"], "--n: must be >= 1, got '0'"),
+            (["generate", "--n", "-3"], "--n: must be >= 1, got '-3'"),
+            (["verify", "--queries", "0"], "--queries: must be >= 1, got '0'"),
+            (["verify", "--ranges", "-5"], "--ranges: must be >= 1, got '-5'"),
+            (["verify", "--ranges", "many"], "--ranges: expected an integer, got 'many'"),
+        ],
+    )
+    def test_non_positive_counts_exit_code_two(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCompare:
     def test_runs_both_modes_across_divisions(self, tmp_path, capsys):

@@ -162,7 +162,7 @@ class TestResolveBinProperties:
 
 class TestNeighborhood:
     def test_full_ring_of_eight(self):
-        got = neighborhood(BinCoord(2, 2), 1, GridShape(5, 5, UNIT))
+        got = neighborhood(BinCoord(2, 2), GridShape(5, 5, UNIT))
         assert got == [
             BinCoord(1, 1), BinCoord(2, 1), BinCoord(3, 1),
             BinCoord(1, 2), BinCoord(3, 2),
@@ -170,26 +170,18 @@ class TestNeighborhood:
         ]
 
     def test_corner_ring_clips_to_three(self):
-        got = neighborhood(BinCoord(0, 0), 1, SHAPE10)
+        got = neighborhood(BinCoord(0, 0), SHAPE10)
         assert got == [BinCoord(1, 0), BinCoord(0, 1), BinCoord(1, 1)]
 
-    def test_ring_two_has_sixteen(self):
-        got = neighborhood(BinCoord(4, 4), 2, SHAPE10)
-        assert len(got) == 16
-
-    def test_ring_zero_rejected(self):
-        with pytest.raises(ValueError):
-            neighborhood(BinCoord(0, 0), 0, SHAPE10)
-
     @settings(max_examples=150, deadline=None)
-    @given(_shape_and_cell(), st.integers(1, 6))
-    def test_ring_membership(self, shape_cell, n):
+    @given(_shape_and_cell())
+    def test_ring_membership(self, shape_cell):
         shape, c = shape_cell
-        got = neighborhood(c, n, shape)
-        assert len(got) <= 8 * n
+        got = neighborhood(c, shape)
+        assert len(got) <= 8
         assert len(set(got)) == len(got)
         for nc in got:
-            assert max(abs(nc.i - c.i), abs(nc.j - c.j)) == n
+            assert max(abs(nc.i - c.i), abs(nc.j - c.j)) == 1
             assert 0 <= nc.i < shape.divisions_x
             assert 0 <= nc.j < shape.divisions_y
         assert got == sorted(got, key=lambda bc: (bc.j, bc.i))

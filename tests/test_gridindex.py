@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from hiergrid import (
     BinCoord,
+    BruteForceIndex,
     EmptySourceError,
     Extents,
     GridIndex,
     GridShape,
+    HierConfig,
+    HierGridIndex,
     OutsideExtentsError,
     Point2D,
     PointCollection,
@@ -101,11 +104,8 @@ class TestRebuild:
         src = pc((10.0, 10.0), (90.0, 90.0))
         idx = GridIndex(src, 4, 4)
         assert idx.nearest(Point2D(12.0, 12.0)).record == 0
-        assert not src.changed
         src.append(14.0, 14.0)
-        assert src.changed
         assert idx.nearest(Point2D(14.0, 14.0)).record == 2
-        assert not src.changed
 
     def test_move_is_visible_after_requery(self):
         src = pc((10.0, 10.0), (90.0, 90.0))
@@ -130,11 +130,12 @@ class TestRebuild:
 
         src = MovesDuringFetch([(1.0, 1.0), (9.0, 9.0), (5.0, 5.0)])
         idx = GridIndex(src, 3, 3)
-        idx.ensure_built()
-        assert src.changed  # the move landed after record 0 was read
+        built = idx.ensure_built()
+        # the move landed after record 0 was read: the built state trails
+        assert built.version < src.version
         res = idx.nearest(Point2D(8.0, 8.0))
         assert (res.record, res.distance) == (0, 0.0)
-        assert not src.changed
+        assert idx.ensure_built().version == src.version
 
     def test_hooks_run_in_pipeline_order(self):
         events = []
@@ -160,13 +161,63 @@ class TestRebuild:
             def _on_after_rebuilt(self, state):
                 assert all(b is not None for b in state.filled.flat)
                 assert state.border_ids is not None
-                assert self.source.changed  # flag clears only after the hook
                 events.append("after")
 
         src = pc((1.0, 1.0), (9.0, 9.0))
         Recorder(src, 3, 3).ensure_built()
         assert events == ["render", "fill", "border", "after"]
-        assert not src.changed
+
+
+class TestSharedSource:
+    """Indexes over one source each rebuild on their own, from the source's
+    version alone, and answer as the brute-force oracle does after every
+    mutation."""
+
+    class MovesDuringFetch(PointCollection):
+        """Once armed, moves record 0 while the last record is fetched."""
+
+        armed = False
+
+        def fetch(self, rid, scratch):
+            if self.armed and rid == self.record_count - 1:
+                self.armed = False
+                self.move(0, 50.0, 50.0)
+            return super().fetch(rid, scratch)
+
+    @staticmethod
+    def assert_fresh(indexes, src, rects):
+        # a query at a record's own position has the oracle's answer (0.0,
+        # lowest id), which a stale index misses for moved or shifted ids
+        oracle = BruteForceIndex(src)
+        for idx in indexes:
+            for x, y in src.positions.tolist():
+                q = Point2D(x, y)
+                got, want = idx.nearest(q), oracle.nearest(q)
+                assert (got.record, got.distance) == (want.record, want.distance)
+            for rect in rects:
+                assert idx.range_query(rect) == oracle.range(rect)
+            assert idx.ensure_built().version == src.version
+
+    def test_each_index_sees_every_mutation(self):
+        rng = np.random.default_rng(5)
+        src = self.MovesDuringFetch(rng.uniform(0.0, 100.0, (120, 2)))
+        indexes = [GridIndex(src, 6, 6), HierGridIndex(src, 6, 6, HierConfig(4))]
+        rects = []
+        for x0, y0, w, h in rng.uniform(0.0, 60.0, (20, 4)).tolist():
+            rects.append(Extents(Point2D(x0, y0), Point2D(x0 + w, y0 + h)))
+        self.assert_fresh(indexes, src, rects)
+        src.append(33.0, 66.0)
+        self.assert_fresh(indexes, src, rects)
+        src.move(7, 1.0, 99.0)
+        self.assert_fresh(indexes, src, rects)
+        src.remove_at(3)
+        self.assert_fresh(indexes, src, rects)
+        for first in indexes:
+            src.append(*rng.uniform(0.0, 100.0, 2).tolist())
+            src.armed = True
+            built = first.ensure_built()
+            assert not src.armed and built.version < src.version
+            self.assert_fresh(indexes, src, rects)
 
 
 class TestRenderPoint:
@@ -235,6 +286,24 @@ class TestRenderPoints:
         pts = np.vstack([rng.uniform(0.0, 100.0, (n - 1, 2)), [[150.0, 50.0]]])
         idx = GridIndex(UnderReported(pts), 4, 4)
         with pytest.raises(OutsideExtentsError, match="outside grid extents"):
+            idx.ensure_built()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_non_finite_fetched_position_rejected(self, n, hierarchical):
+        class FetchesNaN(PointCollection):
+            """Stores finite points but fetches the middle record as NaN."""
+
+            def fetch(self, rid, scratch):
+                super().fetch(rid, scratch)
+                if rid == self.record_count // 2:
+                    scratch.x = math.nan
+                return scratch
+
+        src = FetchesNaN(np.random.default_rng(n).uniform(0.0, 100.0, (n, 2)))
+        idx = HierGridIndex(src, 4, 4, HierConfig(4)) if hierarchical else GridIndex(src, 4, 4)
+        with pytest.raises(ValueError, match="non-finite coordinates"):
             idx.ensure_built()
 
 

@@ -150,11 +150,11 @@ class TestLevels:
             for i in range(6)
             if i in (0, 5) or j in (0, 3)
         ]
+        # one ring per index, in row-major order, walked on every level
+        assert idx._ring_flat == [c.j * 6 + c.i for c in ring]
         assert root.border_ids is not None
         assert len(levels(root)) > 100
         for state in levels(root):
-            assert state.border_coords == ring
-            assert state.border_coords is root.border_coords
             if state is not root:
                 assert state.border_ids is None
                 assert state.border_xs is None and state.border_ys is None

@@ -166,7 +166,7 @@ class TestCostAccounting:
         home = idx.filled.at(c)
         seen = {id(home)}
         want = len(home)
-        for nc in neighborhood(c, 1, shape):
+        for nc in neighborhood(c, shape):
             lst = idx.filled.at(nc)
             if id(lst) not in seen:
                 seen.add(id(lst))

@@ -54,19 +54,6 @@ class TestPointCollection:
         with pytest.raises(ValueError):
             src.positions[0, 0] = 9.0
 
-    def test_changed_lifecycle(self):
-        src = pc((1.0, 2.0))
-        assert src.changed  # fresh sources demand an initial build
-        src.changed = False
-        src.append(5.0, 5.0)
-        assert src.changed
-        src.changed = False
-        src.move(0, 2.0, 2.0)
-        assert src.changed
-        src.changed = False
-        src.remove_at(0)
-        assert src.changed
-
     def test_append_returns_new_id(self):
         src = pc((1.0, 1.0))
         rid = src.append(9.0, 9.0)
