@@ -56,7 +56,8 @@ quad = HierGridIndex(
 print("quad-tree leaves over 64 points:", len(quad.leaf_occupancies()))
 
 # Duplicate points can never be partitioned; subdivision stops at the
-# smallest_bin_dimension floor instead of recursing forever.
+# size floor, a fixed fraction of the data's diagonal, instead of
+# recursing forever.
 dups = PointCollection(np.full((10, 2), 250.0))
 stuck = HierGridIndex(dups, 2, 2, HierConfig(max_bin_records=1))
 (rect, ids), = stuck.leaf_occupancies()

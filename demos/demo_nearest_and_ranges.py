@@ -9,7 +9,7 @@ underlying collection changes.
 
 import numpy as np
 
-from hiergrid import Extents, GridIndex, Point2D, PointCollection, oracle_nearest
+from hiergrid import BruteForceIndex, Extents, GridIndex, Point2D, PointCollection
 
 # A PointCollection is the simplest indexable source: an (n, 2) array
 # of float64 coordinates, ids 0..n-1 in row order.
@@ -29,7 +29,7 @@ print("short circuit:", result.short_circuit)
 # The short-circuit flag means the search ended after the home bin
 # because the best candidate was closer than every bin edge. When it
 # fires, the answer is exact; verify against the brute-force oracle.
-truth = oracle_nearest(points, Point2D(500.0, 500.0))
+truth = BruteForceIndex(points).nearest(Point2D(500.0, 500.0))
 print("oracle agrees:", truth.record == result.record)
 print("oracle examined", truth.comparisons, "records; the index examined",
       result.records_examined)

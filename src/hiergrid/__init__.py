@@ -42,9 +42,7 @@ from .bruteforce import (
     BruteForceIndex,
     OracleResult,
     QuadLeaf,
-    oracle_nearest,
     oracle_quadtree,
-    oracle_range,
 )
 from .datasets import DEFAULT_EXTENTS, gaussian_points, uniform_points
 from .pgm import pgm_bytes, write_pgm
@@ -97,9 +95,7 @@ __all__ = [
     "load_points",
     "match_battery",
     "neighborhood",
-    "oracle_nearest",
     "oracle_quadtree",
-    "oracle_range",
     "pgm_bytes",
     "range_battery",
     "resolve_bin",

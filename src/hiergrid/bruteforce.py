@@ -83,16 +83,6 @@ class BruteForceIndex:
         return [int(i) for i in np.flatnonzero(hit)]
 
 
-def oracle_nearest(source: IndexableSource, q: Point2D) -> OracleResult:
-    """Exact nearest record by linear scan; ties to the lowest id."""
-    return BruteForceIndex(source).nearest(q)
-
-
-def oracle_range(source: IndexableSource, rect: Extents) -> list[RecordId]:
-    """Record ids whose positions lie in the closed rectangle, ascending."""
-    return BruteForceIndex(source).range(rect)
-
-
 class QuadLeaf(NamedTuple):
     """One leaf of the reference bucketing quad tree."""
 
@@ -100,18 +90,15 @@ class QuadLeaf(NamedTuple):
     ids: tuple[int, ...]
 
 
-def oracle_quadtree(
-    points: Sequence[tuple[float, float]],
-    bucket: int,
-    smallest_bin_dimension: float | None = None,
-) -> list[QuadLeaf]:
+def oracle_quadtree(points: Sequence[tuple[float, float]], bucket: int) -> list[QuadLeaf]:
     """Reference bucketing quad tree, built by direct recursion.
 
     Decomposition definition: a node over a set of points spans the set's
     tight (degeneracy-inflated) bounding box; if the node holds more than
     `bucket` points and both half-dimensions of that box exceed the size
-    floor, the box splits 2x2 at its center and the points recurse into
-    quadrants; otherwise the node is a leaf. Quadrant membership follows
+    floor (default_smallest_dimension of the root's box), the box splits
+    2x2 at its center and the points recurse into quadrants; otherwise the
+    node is a leaf. Quadrant membership follows
     resolve_bin (max boundary clamps inward), and each recursive level
     re-tightens to its own subset's box, mirroring how child grid
     levels recompute their extents. Leaves are (quadrant rectangle, ids) in
@@ -122,11 +109,7 @@ def oracle_quadtree(
     if bucket < 1:
         raise ValueError(f"bucket must be >= 1, got {bucket}")
     pts = [(float(x), float(y)) for x, y in points]
-    floor = smallest_bin_dimension
-    if floor is None:
-        floor = default_smallest_dimension(bounding_extents(pts))
-    if floor <= 0.0:
-        raise ValueError("smallest_bin_dimension must be > 0")
+    floor = default_smallest_dimension(bounding_extents(pts))
 
     leaves: list[QuadLeaf] = []
 

@@ -9,6 +9,7 @@ RNG streams, no timestamps, stable file names.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,13 +28,30 @@ STATS_HEADER = (
 BATTERY_SEED_OFFSET = 1
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _positive_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -63,7 +81,9 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--n", type=_positive_int, default=5000, help="generated record count (default: 5000)"
     )
-    p.add_argument("--seed", type=int, default=42, help="dataset RNG seed (default: 42)")
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=42, help="dataset RNG seed (default: 42)"
+    )
 
 
 def _add_index_args(p: argparse.ArgumentParser) -> None:
@@ -86,15 +106,9 @@ def _add_index_args(p: argparse.ArgumentParser) -> None:
 def _add_hier_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-bin-records",
-        type=int,
+        type=_positive_int,
         default=1,
         help="bins holding more than this subdivide (default: 1)",
-    )
-    p.add_argument(
-        "--smallest-bin-dimension",
-        type=float,
-        default=None,
-        help="bins this small never subdivide (default: diagonal-scaled)",
     )
 
 
@@ -114,7 +128,7 @@ def _add_sweep_args(p: argparse.ArgumentParser, default_color: str) -> None:
     )
     p.add_argument(
         "--cap-fraction",
-        type=float,
+        type=_positive_float,
         default=0.01,
         help="absolute-mode white point as a fraction of n (default: 0.01)",
     )
@@ -136,15 +150,10 @@ def _build_index(
     divisions: tuple[int, int],
     hierarchical: bool,
     max_bin_records: int,
-    smallest_bin_dimension: float | None,
 ) -> GridIndex:
     dx, dy = divisions
     if hierarchical:
-        cfg = HierConfig(
-            max_bin_records=max_bin_records,
-            smallest_bin_dimension=smallest_bin_dimension,
-        )
-        return HierGridIndex(points, dx, dy, cfg)
+        return HierGridIndex(points, dx, dy, HierConfig(max_bin_records=max_bin_records))
     return GridIndex(points, dx, dy)
 
 
@@ -158,9 +167,7 @@ def _sweep_config(points, ds_label, args, divisions, hierarchical):
     """Sweep, battery-check and heatmap one configuration: (label, stats,
     match report, stats CSV row, heatmap path)."""
     label = _config_label(ds_label, divisions, hierarchical, args.max_bin_records)
-    index = _build_index(
-        points, divisions, hierarchical, args.max_bin_records, args.smallest_bin_dimension
-    )
+    index = _build_index(points, divisions, hierarchical, args.max_bin_records)
     field = sweep_cost(index, *args.sweep_resolution)
     stats = summarize(field)
     report = match_battery(index, seed=args.seed + BATTERY_SEED_OFFSET)
@@ -245,9 +252,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     points, ds_label = _load_dataset(args)
     hierarchical = args.hierarchical == "true"
     label = _config_label(ds_label, args.divisions, hierarchical, args.max_bin_records)
-    index = _build_index(
-        points, args.divisions, hierarchical, args.max_bin_records, args.smallest_bin_dimension
-    )
+    index = _build_index(points, args.divisions, hierarchical, args.max_bin_records)
     failures = []
 
     try:

@@ -223,27 +223,21 @@ def default_smallest_dimension(extents: Extents) -> float:
     return max(extents.diagonal * 1e-6, 8.0 * DEGENERATE_AXIS_EPS)
 
 
-def bounding_extents(points) -> Extents:
-    """Tight bounding box of (x, y) pairs, inflated on degenerate axes.
+def tight_extents(pts: np.ndarray) -> Extents:
+    """Tight bounding box of an (n, 2) array as Python floats, inflated on
+    degenerate axes: the box every grid level takes over its own records.
 
-    This is the shared definition of index extents: point collections, the
-    proxy sub-source and the reference quad tree derive their rectangles
-    from it, and child grid levels take the same min/max box.
+    Raises ValueError for no points and, through Point2D, for a NaN or
+    infinite coordinate.
     """
-    it = iter(points)
-    try:
-        x, y = next(it)
-    except StopIteration:
-        raise ValueError("bounding_extents of no points") from None
-    min_x = max_x = x
-    min_y = max_y = y
-    for x, y in it:
-        if x < min_x:
-            min_x = x
-        elif x > max_x:
-            max_x = x
-        if y < min_y:
-            min_y = y
-        elif y > max_y:
-            max_y = y
-    return Extents(Point2D(min_x, min_y), Point2D(max_x, max_y)).inflated_if_degenerate()
+    if len(pts) == 0:
+        raise ValueError("bounding box of no points")
+    # Python floats: a level's query arithmetic reads these, and numpy
+    # scalars would make every operation there a numpy call
+    lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    return Extents(Point2D(*lo), Point2D(*hi)).inflated_if_degenerate()
+
+
+def bounding_extents(points) -> Extents:
+    """tight_extents of (x, y) pairs: the reference quad tree's node box."""
+    return tight_extents(np.array(list(points), dtype=np.float64).reshape(-1, 2))

@@ -9,9 +9,11 @@ array and builds the root level from it. A list may own a child level (the
 hierarchical index adds them); the search delegates to it wherever it would
 scan that list, so the flat index is the case with no children.
 
-A level is built in numpy: levels of at least _VECTOR_SCAN_MIN records are
-binned and grouped in one pass (smaller ones loop over render_point), and
-gap fill is one argmin over empty-bin centers x the level's records.
+Every level, root and child alike, is built from its own records alone: its
+box is the tight box of their positions, and gap fill is one argmin over
+empty-bin centers x those positions, taking the winner's list from the bin
+rendering put it in. Levels of at least _VECTOR_SCAN_MIN records are binned
+and grouped in one numpy pass; smaller ones loop over render_point.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .geometry import (
     dist_to_bin_boundary,
     neighborhood,
     resolve_bin,
+    tight_extents,
 )
 from .sources import EmptySourceError, IndexableSource, RecordId
 
@@ -46,7 +49,7 @@ _GAP_FILL_BLOCK = 1 << 20
 
 
 class OutsideExtentsError(ValueError):
-    """A record geometry fell outside the extents its source declared."""
+    """A record geometry fell outside the extents of the grid rendering it."""
 
 
 class BinList:
@@ -117,15 +120,18 @@ class RenderedGrid:
             self.registry[lst] = BinCoord(i, j)
         return lst
 
-    def render_point(self, rid: RecordId, p: Point2D) -> None:
+    def render_point(self, rid: RecordId, p: Point2D) -> int:
+        """Add rid to the bin holding p and return that bin's flat index."""
         c = resolve_bin(p, self.shape)
         if c is None:
             raise OutsideExtentsError(f"point {p} outside grid extents")
         self._list_at(c.i, c.j).append(rid)
+        return c.j * self.shape.divisions_x + c.i
 
-    def render_points(self, ids: Sequence[RecordId], pts: np.ndarray) -> None:
+    def render_points(self, ids: Sequence[RecordId], pts: np.ndarray) -> np.ndarray:
         """render_point for every (ids[k], pts[k]) at once, into a grid with
-        nothing rendered yet; ids ascend and are unique.
+        nothing rendered yet; ids ascend and are unique. Returns each
+        record's flat bin index.
 
         Bins are assigned in numpy and grouped by a stable sort, lists are
         created in first-seen id order, as the loop creates them, and each
@@ -150,6 +156,7 @@ class RenderedGrid:
         for members in sorted(groups, key=lambda g: int(g[0])):
             b = int(flat[members[0]])
             self._list_at(b % nx, b // nx).ids.extend([ids[k] for k in members.tolist()])
+        return flat
 
     def render_line(self, rid: RecordId, a: Point2D, b: Point2D) -> None:
         """Add rid to every bin the closed segment [a, b] touches.
@@ -286,9 +293,9 @@ class _BuiltState:
 
     Every level of a build shares the root's positions array and holds root
     record ids. children maps an overfull list to its child level. Only a
-    root level holds the concatenated border arrays, which only the flat
-    border scan of a root level without children reads; every other level
-    walks its index's border ring through filled.
+    root level without children holds the concatenated border arrays, which
+    its flat border scan reads; every other level walks its index's border
+    ring through filled.
     """
 
     __slots__ = (
@@ -438,14 +445,13 @@ class GridIndex:
         n = source.record_count
         if n < 1:
             raise EmptySourceError("cannot build an index over an empty source")
-        extents = source.data_extents.inflated_if_degenerate()
         scratch = source.new_scratch()
         positions = np.empty((n, 2), dtype=np.float64)
         for rid in range(n):
             rec = source.fetch(rid, scratch)
             positions[rid, 0] = rec.x
             positions[rid, 1] = rec.y
-        state = self._build_level(positions, range(n), extents)
+        state = self._build_level(positions, range(n), positions, tight_extents(positions))
         state.version = version
         self._state = state
 
@@ -453,59 +459,59 @@ class GridIndex:
         self,
         positions: np.ndarray,
         ids,
+        pts: np.ndarray,
         extents: Extents,
         depth: int = 0,
         size_floor: float | None = None,
     ) -> _BuiltState:
-        """Build one grid level over the records `ids` (ascending root ids)
-        within `extents`: render, freeze, gap fill, border prep, then the
-        after-rebuild hook."""
+        """Build one grid level over the records `ids` (ascending root ids),
+        at `pts` (their positions, in the same order), within `extents`:
+        render, freeze, gap fill, the after-rebuild hook, then border prep."""
         shape = GridShape(self.divisions_x, self.divisions_y, extents)
         state = _BuiltState(shape, positions, depth, size_floor)
-        self._render_records(state, ids)
+        bin_of = self._render_records(state, ids, pts)
         for lst in state.rendered.registry:
             lst.freeze(positions)
         filled_bins = list(state.rendered._bins)  # same identities
-        self._fill_gaps(state, filled_bins)
+        self._fill_gaps(state, filled_bins, pts, bin_of)
         state.filled = FilledGrid(shape, filled_bins)
-        self._prepare_border(state)
         self._on_after_rebuilt(state)
+        self._prepare_border(state)
         return state
 
     def _on_after_rebuilt(self, state: _BuiltState) -> None:
-        """Runs last for every level built; the hierarchical index
-        subdivides here."""
+        """Runs for every level built, before border prep; the hierarchical
+        index subdivides here."""
 
-    def _render_records(self, state: _BuiltState, ids) -> None:
-        """Render each record of `ids` at its fetched position, in one numpy
-        pass unless the level is too small to pay for it."""
+    def _render_records(self, state: _BuiltState, ids, pts: np.ndarray) -> np.ndarray:
+        """Render each record of `ids` at its position in `pts`, in one numpy
+        pass unless the level is too small to pay for it; returns each
+        record's flat bin index."""
         rendered = state.rendered
-        pts = state.positions[ids]
         if len(ids) >= _VECTOR_SCAN_MIN:
-            rendered.render_points(ids, pts)
-            return
+            return rendered.render_points(ids, pts)
         # two flat float lists build faster than one (x, y) list per record
         xs, ys = pts.T.tolist()
-        for rid, x, y in zip(ids, xs, ys):
-            rendered.render_point(rid, Point2D(x, y))
+        return np.array(
+            [rendered.render_point(rid, Point2D(x, y)) for rid, x, y in zip(ids, xs, ys)]
+        )
 
-    def _fill_gaps(self, state: _BuiltState, bins: list) -> None:
+    def _fill_gaps(
+        self, state: _BuiltState, bins: list, pts: np.ndarray, bin_of: np.ndarray
+    ) -> None:
         """Point every empty bin at the list holding the record nearest its
         center, ties to the lowest id.
 
-        One argmin per block of empty bins over the level's records sorted
-        by ascending id, so its first minimum is the lowest-id nearest
-        record. Centers and squared distances use the arithmetic of
-        bin_center and _scan_list, so ties resolve as a query scan would.
+        One argmin per block of empty bins over the level's positions `pts`,
+        in ascending id order, so its first minimum is the lowest-id nearest
+        record; the winner's list is the one in its rendered bin, bin_of.
+        Centers and squared distances use the arithmetic of bin_center and
+        _scan_list, so ties resolve as a query scan would.
         """
         empty = [flat for flat, lst in enumerate(bins) if lst is None]
         if not empty:
             return
-        lists = list(state.rendered.registry)
-        order = np.argsort(np.concatenate([lst.ids_arr for lst in lists]), kind="stable")
-        xs = np.concatenate([lst.xs for lst in lists])[order]
-        ys = np.concatenate([lst.ys for lst in lists])[order]
-        owner = np.repeat(np.arange(len(lists)), [len(lst) for lst in lists])[order]
+        xs, ys = pts[:, 0], pts[:, 1]
         shape = state.shape
         ext = shape.extents
         flat = np.array(empty)
@@ -516,14 +522,14 @@ class GridIndex:
             dx = xs - cxs[lo : lo + step, None]
             dy = ys - cys[lo : lo + step, None]
             d2 = dx * dx + dy * dy
-            winners = owner[d2.argmin(axis=1)].tolist()
-            for f, w in zip(empty[lo : lo + step], winners):
-                bins[f] = lists[w]
+            owners = bin_of[d2.argmin(axis=1)].tolist()
+            for f, b in zip(empty[lo : lo + step], owners):
+                bins[f] = bins[b]
 
     def _prepare_border(self, state: _BuiltState) -> None:
-        """On a root level, concatenate the distinct lists of the border ring
-        (row-major) for the flat border scan."""
-        if state.depth:
+        """On a root level without children, concatenate the distinct lists
+        of the border ring (row-major) for the flat border scan."""
+        if state.depth or state.children:
             return
         bins = state.filled.flat
         seen: set[int] = set()
@@ -599,14 +605,15 @@ class GridIndex:
     def _border_search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
         """Out-of-extents scan of the border ring, each distinct list once.
 
-        A root level with no children scans the ring's records in one vector
-        pass. Other levels may hold subdivided border bins, so they visit bins
-        by ascending rectangle distance until none can beat the running best.
-        A bin's squared distance is its column's squared gap plus its row's,
-        with bin edges at min + k * bin_size; a stable sort of the row-major
-        ring breaks ties by (row, column).
+        A level with border arrays (a root without children) scans the ring's
+        records in one vector pass. Every other level visits bins by
+        ascending rectangle distance until none can beat the running best or
+        the bound its parent passed down. A bin's squared distance is its
+        column's squared gap plus its row's, with bin edges at
+        min + k * bin_size; a stable sort of the row-major ring breaks ties
+        by (row, column).
         """
-        if not state.depth and not state.children:
+        if state.border_ids is not None:
             dx = state.border_xs - q.x
             dy = state.border_ys - q.y
             d2 = dx * dx + dy * dy

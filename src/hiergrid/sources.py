@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Extents, bounding_extents
+from .geometry import Extents, tight_extents
 
 RecordId = int
 
@@ -38,24 +38,22 @@ class Record:
 
 
 class IndexableSource(ABC):
-    """What a collection must expose to be indexable.
+    """What a collection must expose to be indexable: record_count, version
+    and fetch, nothing else.
 
-    The version is the only contract between a source and its indexes: it
-    increases with every mutation, an index records the version it read
-    before fetching, and it rebuilds whenever the source's version differs
-    from that one. The source keeps no state about its indexes, so any
-    number of them can share it, each rebuilding on its own. Reads may be
-    concurrent with each other but not with mutation.
+    An index reads every record through fetch and derives everything else,
+    its grid's box included, from the positions it read. The version is the
+    only contract between a source and its indexes: it increases with every
+    mutation, an index records the version it read before fetching, and it
+    rebuilds whenever the source's version differs from that one. The
+    source keeps no state about its indexes, so any number of them can
+    share it, each rebuilding on its own. Reads may be concurrent with each
+    other but not with mutation.
     """
 
     @property
     @abstractmethod
     def record_count(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def data_extents(self) -> Extents:
-        """Tight bounding box of all records; raises EmptySourceError if none."""
 
     @property
     @abstractmethod
@@ -99,14 +97,11 @@ class PointCollection(IndexableSource):
 
     @property
     def data_extents(self) -> Extents:
+        """tight_extents of the stored points: the box an index over them grids."""
         if len(self._pts) == 0:
             raise EmptySourceError("extents of an empty collection")
         if self._extents is None:
-            # Python floats: the root level's query arithmetic reads these,
-            # and numpy scalars would make every operation there a numpy call
-            lo = self._pts.min(axis=0).tolist()
-            hi = self._pts.max(axis=0).tolist()
-            self._extents = bounding_extents([(lo[0], lo[1]), (hi[0], hi[1])])
+            self._extents = tight_extents(self._pts)
         return self._extents
 
     @property
@@ -166,19 +161,6 @@ class SubGridSource(IndexableSource):
     @property
     def record_count(self) -> int:
         return len(self._ids)
-
-    @property
-    def data_extents(self) -> Extents:
-        if len(self._ids) == 0:
-            raise EmptySourceError("extents of an empty proxy")
-        scratch = self._parent.new_scratch()
-
-        def _positions():
-            for rid in self._ids:
-                rec = self._parent.fetch(rid, scratch)
-                yield (rec.x, rec.y)
-
-        return bounding_extents(_positions())
 
     @property
     def version(self) -> int:

@@ -13,9 +13,9 @@ from hiergrid import (
     Extents,
     Point2D,
     PointCollection,
-    oracle_nearest,
+    bounding_extents,
+    default_smallest_dimension,
     oracle_quadtree,
-    oracle_range,
     uniform_points,
 )
 
@@ -28,30 +28,30 @@ def pc(*pts) -> PointCollection:
 
 class TestOracleNearest:
     def test_single_record(self):
-        res = oracle_nearest(pc((3.0, 4.0)), Point2D(0.0, 0.0))
+        res = BruteForceIndex(pc((3.0, 4.0))).nearest(Point2D(0.0, 0.0))
         assert res.record == 0
         assert res.distance == 5.0
         assert res.comparisons == 1
 
     def test_tie_breaks_to_lowest_id(self):
-        res = oracle_nearest(pc((0.0, 0.0), (2.0, 0.0)), Point2D(1.0, 0.0))
+        res = BruteForceIndex(pc((0.0, 0.0), (2.0, 0.0))).nearest(Point2D(1.0, 0.0))
         assert res.record == 0
         assert res.distance == 1.0
 
     def test_exact_hit_distance_zero(self):
-        res = oracle_nearest(pc((1.0, 1.0), (5.0, 5.0)), Point2D(5.0, 5.0))
+        res = BruteForceIndex(pc((1.0, 1.0), (5.0, 5.0))).nearest(Point2D(5.0, 5.0))
         assert res.record == 1
         assert res.distance == 0.0
 
     def test_empty_source_rejected(self):
         with pytest.raises(EmptySourceError):
-            oracle_nearest(pc(), Point2D(0.0, 0.0))
+            BruteForceIndex(pc()).nearest(Point2D(0.0, 0.0))
 
     def test_pinned_large_set_regression(self):
         # frozen output of this oracle on a fixed-seed 5000-point set;
         # any drift in RNG stream, metric or tie rule shows up here
         pts = uniform_points(5000, seed=42)
-        res = oracle_nearest(pts, pts.data_extents.center)
+        res = BruteForceIndex(pts).nearest(pts.data_extents.center)
         assert res.record == 2380
         assert res.distance == pytest.approx(3.8899090098806894, abs=1e-12)
         assert res.comparisons == 5000
@@ -59,10 +59,11 @@ class TestOracleNearest:
     def test_agrees_with_python_rescan(self):
         rng = np.random.default_rng(31)
         pts = PointCollection(rng.uniform(0, 10, (300, 2)))
+        brute = BruteForceIndex(pts)
         for _ in range(50):
             q = Point2D(*(float(v) for v in rng.uniform(-5, 15, 2)))
             want_d2, want_rid = nearest_record(pts.positions, q)
-            got = oracle_nearest(pts, q)
+            got = brute.nearest(q)
             assert got.record == want_rid
             assert got.distance_sq == want_d2
 
@@ -71,12 +72,12 @@ class TestOracleRange:
     def test_boundaries_are_closed(self):
         src = pc((0.0, 0.0), (5.0, 5.0), (10.0, 10.0), (10.0001, 5.0))
         rect = Extents(Point2D(0.0, 0.0), Point2D(10.0, 10.0))
-        assert oracle_range(src, rect) == [0, 1, 2]
+        assert BruteForceIndex(src).range(rect) == [0, 1, 2]
 
     def test_result_ascending(self):
         rng = np.random.default_rng(8)
         src = PointCollection(rng.uniform(0, 100, (500, 2)))
-        got = oracle_range(src, Extents(Point2D(20.0, 20.0), Point2D(70.0, 60.0)))
+        got = BruteForceIndex(src).range(Extents(Point2D(20.0, 20.0), Point2D(70.0, 60.0)))
         assert got == sorted(got)
         pos = src.positions
         want = [
@@ -88,7 +89,7 @@ class TestOracleRange:
 
     def test_empty_region(self):
         src = pc((0.0, 0.0), (10.0, 10.0))
-        assert oracle_range(src, Extents(Point2D(4.0, 4.0), Point2D(5.0, 5.0))) == []
+        assert BruteForceIndex(src).range(Extents(Point2D(4.0, 4.0), Point2D(5.0, 5.0))) == []
 
 
 class TestOracleQuadtree:
@@ -135,8 +136,8 @@ class TestOracleQuadtree:
         rng = np.random.default_rng(78)
         pts = [tuple(p) for p in rng.uniform(0, 100, (60, 2))]
         pts += [(50.0, 50.0)] * 10  # coincident cluster forces floor stops
-        floor = 1e-4
-        for leaf in oracle_quadtree(pts, bucket=2, smallest_bin_dimension=floor):
+        floor = default_smallest_dimension(bounding_extents(pts))
+        for leaf in oracle_quadtree(pts, bucket=2):
             assert (
                 len(leaf.ids) <= 2
                 or leaf.rect.width <= floor

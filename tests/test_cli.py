@@ -133,6 +133,30 @@ class TestSweep:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-bin-records", "0"], "--max-bin-records: must be >= 1, got '0'"),
+            (
+                ["--hierarchical", "true", "--max-bin-records", "0"],
+                "--max-bin-records: must be >= 1, got '0'",
+            ),
+            (["--seed", "-1"], "--seed: must be >= 0, got '-1'"),
+            (["--cap-fraction", "0"], "--cap-fraction: must be a finite number > 0, got '0'"),
+            (
+                ["--cap-fraction", "-0.5", "--color", "absolute"],
+                "--cap-fraction: must be a finite number > 0, got '-0.5'",
+            ),
+        ],
+    )
+    def test_bad_numeric_flags_exit_code_two(self, flags, message, tmp_path, capsys):
+        # each is rejected while parsing, before any index is built
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *FAST_SWEEP, *flags, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCompare:
     def test_runs_both_modes_across_divisions(self, tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Pinned cost identity: sha256 digests of cost fields, nearest answers,
-range answers and leaf sets on fixed configurations.
+range answers, leaf sets and leaf boxes on fixed configurations.
 
 Refactors of the engine must leave every digest unchanged; a deliberate
 change to the search cost updates them and says so in CHANGES.md.
@@ -33,24 +33,28 @@ PINNED = {
         "sweep": "fce8d2d4b5b3e884dfd8978597fd87ca676fa3b4932ef6f16a0984bf5f4fccb8",
         "nearest": "e04a81e46dbe9d439010e9f212e1acdb9dc00a274e7d3e51e5a113f42aa9e499",
         "range": "c8174d1f8dea92cd4e730965876f5efa1f2b3d0ca371a97ac58dad001be69b9a",
+        "boxes": "57950a856babe0a4e5fbaae0dd1a28dcc350b27d01083302e828b9b76f866aab",
     },
     "uniform-hier-2x2-b1": {
         "sweep": "ce9c141698f575a4d8e874bb4166f7b5aaacd15f1141953a94a27031bc1bb30d",
         "nearest": "4c68602612ea89e8e13eb23e5f25953d4098bb776480561ff40eecc52e0a68a1",
         "range": "fe2cf5db74d1a89ddc40c377df4d0cbc4aa3a023621b51fad063c6a760b9ec0b",
         "leaves": "d9aa6c8d6fe996f47406d22412cc525af8e91a53d8eadd775ef06f4f74a15cd2",
+        "boxes": "b175689e872c31d5788bfcdf845037a3f2b6707bc7d47f2d8d09f71773f8a5e3",
     },
     "gaussian-hier-10x10-b8": {
         "sweep": "adfcfaf3f622261f6acfde87881568869986fcbc9137844267f30c56eb2605f1",
         "nearest": "e87d04baf8601fc403c840e1624b7b6e5ff33e142019ebecfcebf5e9426c5027",
         "range": "af8732289926f6c8d15a78262ca1e3b60b1f8bf1b263bfddd7cfd1b5b65f9070",
         "leaves": "7ed8f8dfafea17d45455780e18ffda040ede78283dd8b788cd81c301ba110214",
+        "boxes": "31ec91429e0f7e2bfc25e87703a39c9850af01204ac7df1971c84a43950949b7",
     },
     "gaussian-hier-7x5-b1": {
         "sweep": "4f02abcaed2bef2b0c0f6b9564842056c298cff23a47b69a46f121b411b898c0",
         "nearest": "cc9102336cee29a5fb7ace8c7f9dacaa27a90fca09eba6091a603963c112273f",
         "range": "8a4454da866f0f1cadd71aaa85756251f21ae95765ce1207f680c9f152853932",
         "leaves": "790d3475cceca8979702e556b7243d1b073dcca44f0e1c94cfa9fc465f08dbf4",
+        "boxes": "41a262b80030f63b3c899074902905d528e4868349677461260a2aa117f398f8",
     },
 }
 
@@ -68,8 +72,8 @@ def digests(index) -> dict[str, str]:
     """sweep: a 64x64 cost field; nearest: (record, records_examined,
     short_circuit) of 400 random queries over twice the extents and of
     200 queries at record positions; leaves: the ids of every leaf, in
-    leaf order (rectangles are left out: the last column and row close at
-    the extents' max, an ulp beyond min + n * bin_size on some levels)."""
+    leaf order; boxes: the root extents and every leaf rectangle, in leaf
+    order, as float.hex, so a box that moves by one ulp shows."""
     out = {"sweep": hashlib.sha256(sweep_cost(index, 64, 64).costs.tobytes()).hexdigest()}
     ext = index.shape.extents.scaled(2.0)
     rng = np.random.default_rng(7)
@@ -86,7 +90,20 @@ def digests(index) -> dict[str, str]:
         for _, ids in index.leaf_occupancies():
             h.update(f"{ids!r}\n".encode())
         out["leaves"] = h.hexdigest()
+    out["boxes"] = box_digest(index)
     return out
+
+
+def box_digest(index) -> str:
+    """sha256 of float.hex of the root extents' corners, then of every leaf
+    rectangle's corners in leaf order (a flat index has no leaves here)."""
+    rects = [index.shape.extents]
+    if isinstance(index, HierGridIndex):
+        rects += [rect for rect, _ in index.leaf_occupancies()]
+    h = hashlib.sha256()
+    for r in rects:
+        h.update(" ".join(v.hex() for v in (r.min.x, r.min.y, r.max.x, r.max.y)).encode() + b"\n")
+    return h.hexdigest()
 
 
 def range_digest(index) -> str:

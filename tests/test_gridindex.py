@@ -15,6 +15,7 @@ from hiergrid import (
     GridShape,
     HierConfig,
     HierGridIndex,
+    IndexableSource,
     OutsideExtentsError,
     Point2D,
     PointCollection,
@@ -141,31 +142,115 @@ class TestRebuild:
         events = []
 
         class Recorder(GridIndex):
-            def _render_records(self, state, ids):
+            def _render_records(self, state, ids, pts):
                 assert len(state.rendered.registry) == 0
                 assert state.filled is None
                 assert state.positions.shape == (2, 2)
                 events.append("render")
-                super()._render_records(state, ids)
+                return super()._render_records(state, ids, pts)
 
-            def _fill_gaps(self, state, bins):
+            def _fill_gaps(self, state, bins, pts, bin_of):
                 assert all(lst.ids_arr is not None for lst in state.rendered.registry)
+                assert bin_of.tolist() == [0, 8]
                 events.append("fill")
-                super()._fill_gaps(state, bins)
+                super()._fill_gaps(state, bins, pts, bin_of)
+
+            def _on_after_rebuilt(self, state):
+                assert all(b is not None for b in state.filled.flat)
+                assert state.border_ids is None
+                events.append("after")
 
             def _prepare_border(self, state):
                 assert state.filled is not None
                 events.append("border")
                 super()._prepare_border(state)
-
-            def _on_after_rebuilt(self, state):
-                assert all(b is not None for b in state.filled.flat)
                 assert state.border_ids is not None
-                events.append("after")
 
         src = pc((1.0, 1.0), (9.0, 9.0))
         Recorder(src, 3, 3).ensure_built()
-        assert events == ["render", "fill", "border", "after"]
+        assert events == ["render", "fill", "after", "border"]
+
+
+class TestSourceContract:
+    """A source is record_count, version and fetch; the index derives its
+    grid's box from the positions it fetches and reads nothing else."""
+
+    class MinimalSource(IndexableSource):
+        def __init__(self, pts):
+            self._pts = [tuple(p) for p in pts.tolist()]
+
+        @property
+        def record_count(self):
+            return len(self._pts)
+
+        @property
+        def version(self):
+            return 0
+
+        def fetch(self, rid, scratch):
+            scratch.x, scratch.y = self._pts[rid]
+            return scratch
+
+    @staticmethod
+    def queries(idx, rng):
+        wide = idx.shape.extents.scaled(2.0)
+        xy = rng.uniform((wide.min.x, wide.min.y), (wide.max.x, wide.max.y), (150, 2))
+        rects = []
+        for x0, y0, w, h in rng.uniform(0.0, 0.5, (40, 4)).tolist():
+            x = wide.min.x + x0 * wide.width
+            y = wide.min.y + y0 * wide.height
+            rects.append(Extents(Point2D(x, y), Point2D(x + w * wide.width, y + h * wide.height)))
+        return [Point2D(x, y) for x, y in xy.tolist()], rects
+
+    @pytest.mark.parametrize("n", [_VECTOR_SCAN_MIN - 1, 400])
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_minimal_source_answers_like_brute_force(self, n, hierarchical):
+        rng = np.random.default_rng(n)
+        pts = rng.normal(50.0, 15.0, (n, 2))
+        src = self.MinimalSource(pts)
+        idx = HierGridIndex(src, 5, 4, HierConfig(3)) if hierarchical else GridIndex(src, 5, 4)
+        brute = BruteForceIndex(src)
+        assert idx.shape.extents == PointCollection(pts).data_extents
+        qs, rects = self.queries(idx, rng)
+        for q in qs:
+            got, want = idx.nearest(q), brute.nearest(q)
+            assert got.distance >= want.distance
+            if got.short_circuit:  # the short circuit claims exactness
+                assert (got.record, got.distance) == (want.record, want.distance)
+        for x, y in pts.tolist():
+            assert idx.nearest(Point2D(x, y)).distance == 0.0
+        for rect in rects:
+            assert idx.range_query(rect) == brute.range(rect)
+
+    @pytest.mark.parametrize("n", [_VECTOR_SCAN_MIN - 1, _VECTOR_SCAN_MIN + 6])
+    @pytest.mark.parametrize("report", ["under", "over"])
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_declared_extents_are_not_read(self, n, report, hierarchical):
+        class Misreports(PointCollection):
+            """Declares the box of every record but the last, or one ten
+            times too large."""
+
+            @property
+            def data_extents(self):
+                if report == "under":
+                    return PointCollection(self.positions[:-1]).data_extents
+                return PointCollection(self.positions).data_extents.scaled(10.0)
+
+        rng = np.random.default_rng(n)
+        pts = np.vstack([rng.uniform(0.0, 100.0, (n - 1, 2)), [[150.0, 50.0]]])
+
+        def make(src):
+            if hierarchical:
+                return HierGridIndex(src, 4, 4, HierConfig(2))
+            return GridIndex(src, 4, 4)
+
+        plain, odd = make(PointCollection(pts)), make(Misreports(pts))
+        assert odd.shape == plain.shape
+        qs, rects = self.queries(plain, rng)
+        for q in qs:
+            assert odd.nearest(q) == plain.nearest(q)
+        for rect in rects:
+            assert odd.range_query(rect) == plain.range_query(rect)
 
 
 class TestSharedSource:
@@ -273,20 +358,18 @@ class TestRenderPoints:
         assert list(got.registry.values()) == list(want.registry.values())
         assert [lst.ids for lst in got.registry] == [lst.ids for lst in want.registry]
 
-    @pytest.mark.parametrize("n", [_VECTOR_SCAN_MIN - 1, _VECTOR_SCAN_MIN + 6])
-    def test_record_outside_declared_extents_rejected(self, n):
-        class UnderReported(PointCollection):
-            """Declares the extents of every record but the last."""
+    def test_returns_each_records_bin(self):
+        g = RenderedGrid(SHAPE10)
+        pts = np.array([[25.0, 35.0], [100.0, 100.0], [0.0, 0.0], [26.0, 36.0]])
+        flat = g.render_points(range(4), pts)
+        assert flat.tolist() == [32, 99, 0, 32]
+        assert flat.tolist() == [g.render_point(9, Point2D(*p)) for p in pts.tolist()]
 
-            @property
-            def data_extents(self):
-                return PointCollection(self.positions[:-1]).data_extents
-
-        rng = np.random.default_rng(n)
-        pts = np.vstack([rng.uniform(0.0, 100.0, (n - 1, 2)), [[150.0, 50.0]]])
-        idx = GridIndex(UnderReported(pts), 4, 4)
-        with pytest.raises(OutsideExtentsError, match="outside grid extents"):
-            idx.ensure_built()
+    def test_point_outside_rejected(self):
+        g = RenderedGrid(SHAPE10)
+        pts = np.array([[25.0, 35.0], [100.1, 50.0], [5.0, 5.0]])
+        with pytest.raises(OutsideExtentsError, match=r"point .*100\.1.* outside grid extents"):
+            g.render_points(range(3), pts)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("hierarchical", [False, True])

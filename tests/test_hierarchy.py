@@ -14,6 +14,7 @@ from hiergrid import (
     Point2D,
     PointCollection,
     bin_center,
+    default_smallest_dimension,
     gaussian_points,
     match_battery,
     oracle_quadtree,
@@ -44,8 +45,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             HierConfig(max_bin_records=0)
-        with pytest.raises(ValueError):
-            HierConfig(max_bin_records=1, smallest_bin_dimension=0.0)
 
     def test_single_bin_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -98,13 +97,19 @@ class TestSubdivisionPolicy:
         assert aliases > 0
 
     def test_size_floor_blocks_subdivision(self):
-        idx = HierGridIndex(
-            uniform_points(500, seed=1),
-            5,
-            5,
-            HierConfig(max_bin_records=1, smallest_bin_dimension=1e9),
-        )
-        assert idx.sub_indexes == []
+        # a cluster 0.5 wide inside a root 1e6 wide: the floor, a millionth
+        # of the root's diagonal (about 1.41), lets the root subdivide but
+        # stops the cluster's child level, whose bins are 0.1 wide
+        rng = np.random.default_rng(1)
+        cluster = rng.uniform(500_000.0, 500_000.5, (40, 2))
+        pts = np.vstack([[[0.0, 0.0], [1e6, 1e6]], cluster])
+        idx = HierGridIndex(PointCollection(pts), 5, 5, HierConfig(max_bin_records=1))
+        root = idx.ensure_built()
+        assert root.size_floor == default_smallest_dimension(root.shape.extents)
+        (child,) = root.sub_indexes
+        assert child.shape.bin_width < root.size_floor
+        assert child.children == {}
+        assert max(len(ids) for _, ids in idx.leaf_occupancies()) > 1
 
     def test_divisions_inherited_by_default(self):
         idx = HierGridIndex(uniform_points(600, seed=2), 4, 3, HierConfig(max_bin_records=3))
@@ -141,7 +146,7 @@ class TestLevels:
                 assert winner in lst.ids, (state.depth, c)
                 assert lst in state.rendered.registry
 
-    def test_levels_share_the_border_ring_and_only_the_root_has_arrays(self):
+    def test_levels_share_the_border_ring_and_only_a_childless_root_has_arrays(self):
         idx = HierGridIndex(uniform_points(2000, seed=8), 6, 4, HierConfig(max_bin_records=4))
         root = idx.ensure_built()
         ring = [
@@ -152,13 +157,14 @@ class TestLevels:
         ]
         # one ring per index, in row-major order, walked on every level
         assert idx._ring_flat == [c.j * 6 + c.i for c in ring]
-        assert root.border_ids is not None
+        # the root has children, so no level's border scan reads arrays
         assert len(levels(root)) > 100
         for state in levels(root):
-            if state is not root:
-                assert state.border_ids is None
-                assert state.border_xs is None and state.border_ys is None
-
+            assert state.border_ids is None
+            assert state.border_xs is None and state.border_ys is None
+        unsplit = HierGridIndex(uniform_points(2000, seed=8), 6, 4, HierConfig(2000))
+        assert unsplit.ensure_built().children == {}
+        assert len(unsplit.ensure_built().border_ids) > 0
 
     def test_child_lists_hold_the_parent_lists_id_objects(self):
         idx = HierGridIndex(gaussian_points(3000, seed=4), 10, 10, HierConfig(max_bin_records=8))
@@ -207,7 +213,7 @@ class TestTermination:
 
     @pytest.mark.parametrize("magnitude", [0.0, 1e7, 1e12, -1e15])
     @pytest.mark.parametrize("layout", ["duplicate", "collinear"])
-    @pytest.mark.parametrize("kind", ["flat", "hier", "hier-fine-floor"])
+    @pytest.mark.parametrize("kind", ["flat", "hier"])
     def test_degenerate_data_at_any_magnitude(self, magnitude, layout, kind):
         # a flat axis must inflate by more than an ulp of its coordinates,
         # and a child level over its parent's own box must not be built
@@ -220,8 +226,7 @@ class TestTermination:
         if kind == "flat":
             idx = GridIndex(source, 2, 2)
         else:
-            floor = 1e-15 if kind == "hier-fine-floor" else None
-            idx = HierGridIndex(source, 2, 2, HierConfig(1, smallest_bin_dimension=floor))
+            idx = HierGridIndex(source, 2, 2, HierConfig(1))
         brute = BruteForceIndex(source)
         ext = idx.shape.extents
         pad = 10.0 * max(ext.width, ext.height)
@@ -337,10 +342,9 @@ class TestQueriesDelegate:
         assert report.match_rate > 0.9  # delegation approximates, mildly
 
     def test_range_query_unaffected_by_subdivision(self):
-        from hiergrid import Extents, oracle_range
-
         pts = uniform_points(1000, seed=30)
         idx = HierGridIndex(pts, 6, 6, HierConfig(max_bin_records=1))
+        brute = BruteForceIndex(pts)
         rng = np.random.default_rng(31)
         idx.ensure_built()
         ext = idx.shape.extents.scaled(2.0)
@@ -351,7 +355,7 @@ class TestQueriesDelegate:
                 Point2D(float(xs.min()), float(ys.min())),
                 Point2D(float(xs.max()), float(ys.max())),
             )
-            assert idx.range_query(rect) == oracle_range(pts, rect)
+            assert idx.range_query(rect) == brute.range(rect)
 
     def test_outside_queries_stay_cheap_with_subdivision(self):
         idx = HierGridIndex(uniform_points(5000, seed=42), 10, 10, HierConfig(max_bin_records=1))

@@ -20,7 +20,6 @@ from hiergrid import (
     PointCollection,
     dist_to_bin_boundary,
     gaussian_points,
-    oracle_range,
     resolve_bin,
     uniform_points,
 )
@@ -225,6 +224,7 @@ class TestRangeQuery:
         idx.ensure_built()
         ext = idx.shape.extents.scaled(2.0)
         rng = np.random.default_rng(17)
+        brute = BruteForceIndex(pts)
         for _ in range(150):
             xs = rng.uniform(ext.min.x, ext.max.x, 2)
             ys = rng.uniform(ext.min.y, ext.max.y, 2)
@@ -232,7 +232,7 @@ class TestRangeQuery:
                 Point2D(float(xs.min()), float(ys.min())),
                 Point2D(float(xs.max()), float(ys.max())),
             )
-            assert idx.range_query(rect) == oracle_range(pts, rect)
+            assert idx.range_query(rect) == brute.range(rect)
 
     def test_returns_python_ints_strictly_ascending(self):
         pts = gaussian_points(1500, seed=21)

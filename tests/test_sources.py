@@ -113,16 +113,6 @@ class TestSubGridSource:
         parent.move(1, 3.0, 3.0)
         assert sub.version == parent.version
 
-    def test_extents_cover_only_members(self):
-        parent = pc((0.0, 0.0), (100.0, 100.0), (40.0, 60.0))
-        sub = SubGridSource(parent, [0, 2])
-        e = sub.data_extents
-        assert e == Extents(Point2D(0.0, 0.0), Point2D(40.0, 60.0))
-
-    def test_empty_proxy_extents_rejected(self):
-        with pytest.raises(EmptySourceError):
-            _ = SubGridSource(pc((1.0, 1.0)), []).data_extents
-
     def test_fetch_out_of_range(self):
         sub = SubGridSource(pc((1.0, 1.0), (2.0, 2.0)), [0])
         with pytest.raises(IndexError):
