@@ -13,7 +13,16 @@ Every level, root and child alike, is built from its own records alone: its
 box is the tight box of their positions, and gap fill is one argmin over
 empty-bin centers x those positions, taking the winner's list from the bin
 rendering put it in. Levels of at least _VECTOR_SCAN_MIN records are binned
-and grouped in one numpy pass; smaller ones loop over render_point.
+and grouped in one numpy pass; smaller ones loop over render_point. Either
+way the level keeps its records sorted by bin (row-major, ascending id
+within a bin) as id, x and y arrays, and every list's arrays are views of
+one slice of them.
+
+A level visit works on the level's own slots: it finds the home bin with
+_axis_bin, the boundary distance from bin_rect's edge arithmetic and the
+1-neighborhood by flat-index arithmetic over the filled list, so it builds
+no coordinate objects. A range query reads the root's sorted arrays one
+window row at a time, through the root's bin start offsets.
 """
 from __future__ import annotations
 
@@ -32,8 +41,7 @@ from .geometry import (
     Point2D,
     _axis_bin,
     axis_bins,
-    dist_to_bin_boundary,
-    neighborhood,
+    neighborhood,  # noqa: F401 - unused here; kept bound for tracers that wrap it
     resolve_bin,
     tight_extents,
 )
@@ -79,17 +87,14 @@ class BinList:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def freeze(self, positions: np.ndarray) -> None:
-        """Cache the member positions for the query scans."""
-        idx = np.asarray(self.ids, dtype=np.intp)
-        self.ids_arr = idx
-        self.xs = positions[idx, 0].copy()
-        self.ys = positions[idx, 1].copy()
-        if len(idx) < _VECTOR_SCAN_MIN:
-            self.triples = [
-                (rid, float(self.xs[k]), float(self.ys[k]))
-                for k, rid in enumerate(self.ids)
-            ]
+    def freeze(self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, start: int, end: int):
+        """Cache the member ids and positions for the query scans, as views
+        of the slice [start, end) of the level's bin-grouped arrays."""
+        self.ids_arr = ids[start:end]
+        self.xs = xs[start:end]
+        self.ys = ys[start:end]
+        if end - start < _VECTOR_SCAN_MIN:
+            self.triples = list(zip(self.ids, self.xs.tolist(), self.ys.tolist()))
         else:
             self.triples = None
 
@@ -131,11 +136,18 @@ class RenderedGrid:
     def render_points(self, ids: Sequence[RecordId], pts: np.ndarray) -> np.ndarray:
         """render_point for every (ids[k], pts[k]) at once, into a grid with
         nothing rendered yet; ids ascend and are unique. Returns each
-        record's flat bin index.
+        record's flat bin index."""
+        return self._render_sorted(ids, pts)[0]
 
-        Bins are assigned in numpy and grouped by a stable sort, lists are
-        created in first-seen id order, as the loop creates them, and each
-        list holds the caller's own id objects.
+    def _render_sorted(
+        self, ids: Sequence[RecordId], pts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """render_points, also returning the stable sort of the records by
+        bin that grouped them: row-major bins, ascending id within a bin.
+
+        Bins are assigned in numpy, lists are created in first-seen id
+        order, as the loop creates them, and each list holds the caller's
+        own id objects.
         """
         shape = self.shape
         ext = shape.extents
@@ -156,7 +168,7 @@ class RenderedGrid:
         for members in sorted(groups, key=lambda g: int(g[0])):
             b = int(flat[members[0]])
             self._list_at(b % nx, b // nx).ids.extend([ids[k] for k in members.tolist()])
-        return flat
+        return flat, order
 
     def render_line(self, rid: RecordId, a: Point2D, b: Point2D) -> None:
         """Add rid to every bin the closed segment [a, b] touches.
@@ -296,6 +308,13 @@ class _BuiltState:
     root level without children holds the concatenated border arrays, which
     its flat border scan reads; every other level walks its index's border
     ring through filled.
+
+    min_x .. ny are the shape's own float and int objects, so the level
+    visit reads its box, bin sizes and divisions without a call. ids, xs
+    and ys hold the level's records grouped by bin (row-major, ascending id
+    within a bin); every BinList's arrays are views of one slice of them.
+    The root also keeps starts, each bin's offset into them (one more for
+    the end), which range_query reads a window row at a time.
     """
 
     __slots__ = (
@@ -310,6 +329,18 @@ class _BuiltState:
         "border_xs",
         "border_ys",
         "children",
+        "min_x",
+        "min_y",
+        "max_x",
+        "max_y",
+        "bin_w",
+        "bin_h",
+        "nx",
+        "ny",
+        "ids",
+        "xs",
+        "ys",
+        "starts",
     )
 
     def __init__(
@@ -330,6 +361,15 @@ class _BuiltState:
         self.border_xs: np.ndarray | None = None
         self.border_ys: np.ndarray | None = None
         self.children: dict[BinList, _BuiltState] = {}
+        ext = shape.extents
+        self.min_x, self.min_y = ext.min.x, ext.min.y
+        self.max_x, self.max_y = ext.max.x, ext.max.y
+        self.bin_w, self.bin_h = shape.bin_width, shape.bin_height
+        self.nx, self.ny = shape.divisions_x, shape.divisions_y
+        self.ids: np.ndarray | None = None
+        self.xs: np.ndarray | None = None
+        self.ys: np.ndarray | None = None
+        self.starts: list[int] | None = None
 
     @property
     def sub_indexes(self) -> list["_BuiltState"]:
@@ -451,7 +491,9 @@ class GridIndex:
             rec = source.fetch(rid, scratch)
             positions[rid, 0] = rec.x
             positions[rid, 1] = rec.y
-        state = self._build_level(positions, range(n), positions, tight_extents(positions))
+        state = self._build_level(
+            positions, range(n), np.arange(n), positions, tight_extents(positions)
+        )
         state.version = version
         self._state = state
 
@@ -459,19 +501,33 @@ class GridIndex:
         self,
         positions: np.ndarray,
         ids,
+        ids_arr: np.ndarray,
         pts: np.ndarray,
         extents: Extents,
         depth: int = 0,
         size_floor: float | None = None,
     ) -> _BuiltState:
-        """Build one grid level over the records `ids` (ascending root ids),
-        at `pts` (their positions, in the same order), within `extents`:
-        render, freeze, gap fill, the after-rebuild hook, then border prep."""
+        """Build one grid level over the records `ids` (ascending root ids;
+        `ids_arr` holds the same as an array), at `pts` (their positions, in
+        the same order), within `extents`: render, group by bin, freeze, gap
+        fill, the after-rebuild hook, then border prep."""
         shape = GridShape(self.divisions_x, self.divisions_y, extents)
         state = _BuiltState(shape, positions, depth, size_floor)
-        bin_of = self._render_records(state, ids, pts)
-        for lst in state.rendered.registry:
-            lst.freeze(positions)
+        bin_of, order = self._render_records(state, ids, pts)
+        # the records grouped by bin, in the order rendering sorted them
+        ids_sorted = ids_arr[order]
+        xs, ys = pts[order, 0], pts[order, 1]
+        nbins = shape.divisions_x * shape.divisions_y
+        starts = np.zeros(nbins + 1, dtype=np.intp)
+        np.cumsum(np.bincount(bin_of, minlength=nbins), out=starts[1:])
+        starts = starts.tolist()
+        nx = shape.divisions_x
+        for lst, c in state.rendered.registry.items():
+            f = c.j * nx + c.i
+            lst.freeze(ids_sorted, xs, ys, starts[f], starts[f + 1])
+        state.ids, state.xs, state.ys = ids_sorted, xs, ys
+        if depth == 0:
+            state.starts = starts
         filled_bins = list(state.rendered._bins)  # same identities
         self._fill_gaps(state, filled_bins, pts, bin_of)
         state.filled = FilledGrid(shape, filled_bins)
@@ -483,18 +539,21 @@ class GridIndex:
         """Runs for every level built, before border prep; the hierarchical
         index subdivides here."""
 
-    def _render_records(self, state: _BuiltState, ids, pts: np.ndarray) -> np.ndarray:
+    def _render_records(
+        self, state: _BuiltState, ids, pts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Render each record of `ids` at its position in `pts`, in one numpy
         pass unless the level is too small to pay for it; returns each
-        record's flat bin index."""
+        record's flat bin index and the stable sort of the records by it."""
         rendered = state.rendered
         if len(ids) >= _VECTOR_SCAN_MIN:
-            return rendered.render_points(ids, pts)
+            return rendered._render_sorted(ids, pts)
         # two flat float lists build faster than one (x, y) list per record
         xs, ys = pts.T.tolist()
-        return np.array(
+        bin_of = np.array(
             [rendered.render_point(rid, Point2D(x, y)) for rid, x, y in zip(ids, xs, ys)]
         )
+        return bin_of, np.argsort(bin_of, kind="stable")
 
     def _fill_gaps(
         self, state: _BuiltState, bins: list, pts: np.ndarray, bin_of: np.ndarray
@@ -559,38 +618,61 @@ class GridIndex:
     def _search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> bool:
         """Search one level: the border ring from outside the extents, else
         the home list's child level, else the home list and, unless its
-        short circuit fires (returns True), its 1-neighborhood's lists."""
-        c = resolve_bin(q, state.shape)
-        if c is None:
+        short circuit fires (returns True), its 1-neighborhood's lists.
+
+        The home bin is _axis_bin's on each axis, the boundary distance uses
+        bin_rect's edges, and the neighborhood is walked row-major by flat
+        index, so nothing is built per visit but the set that keeps aliased
+        lists from being consulted twice.
+        """
+        qx, qy = q.x, q.y
+        x0, y0, x1, y1 = state.min_x, state.min_y, state.max_x, state.max_y
+        if not (x0 <= qx <= x1 and y0 <= qy <= y1):
             self._border_search(state, q, best, bound_d2)
             return False
-        filled = state.filled
-        home = filled.at(c)
-        if home in state.children:
-            self._consult(state, home, q, best, bound_d2)
-            return False
-        _scan_list(home, q.x, q.y, best)
-        boundary = dist_to_bin_boundary(q, c, state.shape)
-        if best.d2 < boundary * boundary:
+        nx, ny, bw, bh = state.nx, state.ny, state.bin_w, state.bin_h
+        i = _axis_bin(qx, x0, bw, nx)
+        j = _axis_bin(qy, y0, bh, ny)
+        f = j * nx + i
+        bins = state.filled._bins
+        home = bins[f]
+        children = state.children
+        if children:
+            child = children.get(home)
+            if child is not None:
+                self._delegate(child, q, best, bound_d2)
+                return False
+        _scan_list(home, qx, qy, best)
+        # the distance to the nearest edge of bin_rect((i, j))
+        edge = qx - (x0 + i * bw)
+        d = (x1 if i == nx - 1 else x0 + (i + 1) * bw) - qx
+        if d < edge:
+            edge = d
+        d = qy - (y0 + j * bh)
+        if d < edge:
+            edge = d
+        d = (y1 if j == ny - 1 else y0 + (j + 1) * bh) - qy
+        if d < edge:
+            edge = d
+        if best.d2 < edge * edge:
             return True
+        i_lo = i - 1 if i else 0
+        i_hi = i + 1 if i + 1 < nx else i
+        row_lo = (j - 1 if j else 0) * nx
+        row_hi = (j + 1 if j + 1 < ny else j) * nx
         seen = {home}
-        for nc in neighborhood(c, state.shape):
-            lst = filled.at(nc)
-            if lst in seen:
-                continue
-            seen.add(lst)
-            self._consult(state, lst, q, best, bound_d2)
+        for row in range(row_lo, row_hi + 1, nx):
+            for g in range(row + i_lo, row + i_hi + 1):
+                lst = bins[g]
+                if lst in seen:
+                    continue
+                seen.add(lst)
+                child = children.get(lst) if children else None
+                if child is None:
+                    _scan_list(lst, qx, qy, best)
+                else:
+                    self._delegate(child, q, best, bound_d2)
         return False
-
-    def _consult(
-        self, state: _BuiltState, lst: BinList, q: Point2D, best: _Best, bound_d2: float
-    ) -> None:
-        """Scan lst, or delegate to its child level when it has one."""
-        child = state.children.get(lst)
-        if child is None:
-            _scan_list(lst, q.x, q.y, best)
-        else:
-            self._delegate(child, q, best, bound_d2)
 
     def _delegate(self, child: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
         """Run the query in a child level with its own running best, whose
@@ -622,13 +704,12 @@ class GridIndex:
             rid = int(state.border_ids[d2 == m].min())  # ties: lowest id
             best.offer(m, rid)
             return
-        shape = state.shape
-        ext = shape.extents
-        ddx = _gaps_sq(q.x, ext.min.x, shape.bin_width, shape.divisions_x)
-        ddy = _gaps_sq(q.y, ext.min.y, shape.bin_height, shape.divisions_y)
+        ddx = _gaps_sq(q.x, state.min_x, state.bin_w, state.nx)
+        ddy = _gaps_sq(q.y, state.min_y, state.bin_h, state.ny)
         d2s = [ddx[i] + ddy[j] for i, j in zip(self._ring_i, self._ring_j)]
         ring_flat = self._ring_flat
-        bins = state.filled.flat
+        bins = state.filled._bins
+        children = state.children
         seen: set[int] = set()
         for k in sorted(range(len(d2s)), key=d2s.__getitem__):
             limit = bound_d2 if bound_d2 < best.d2 else best.d2
@@ -638,36 +719,53 @@ class GridIndex:
             if id(lst) in seen:
                 continue
             seen.add(id(lst))
-            self._consult(state, lst, q, best, bound_d2)
+            child = children.get(lst) if children else None
+            if child is None:
+                _scan_list(lst, q.x, q.y, best)
+            else:
+                self._delegate(child, q, best, bound_d2)
 
     def range_query(self, rect: Extents) -> list[RecordId]:
-        """Ids of records inside the closed rectangle, ascending: one mask
-        over the rendered bins from the bin of the rectangle's min corner to
-        the bin of its max corner, both clamped to the extents. Records are
-        rendered by the same monotone _axis_bin, so the window holds them all."""
+        """Ids of records inside the closed rectangle, ascending.
+
+        The window runs from the bin of the rectangle's min corner to the
+        bin of its max corner, both clamped to the extents. Records are
+        rendered by the same monotone _axis_bin, so the window holds them
+        all. The root's records are grouped by bin in row-major order, so
+        each window row is one slice of its arrays, read through the root's
+        bin offsets. A window of several rows copies its slices into arrays
+        sized once; the window is then masked in one numpy pass.
+        """
         state = self.ensure_built()
-        shape = state.shape
-        ext = shape.extents
-        x0, x1 = max(rect.min.x, ext.min.x), min(rect.max.x, ext.max.x)
-        y0, y1 = max(rect.min.y, ext.min.y), min(rect.max.y, ext.max.y)
+        rx0, ry0, rx1, ry1 = rect.min.x, rect.min.y, rect.max.x, rect.max.y
+        ex0, ey0, ex1, ey1 = state.min_x, state.min_y, state.max_x, state.max_y
+        x0 = ex0 if ex0 > rx0 else rx0
+        y0 = ey0 if ey0 > ry0 else ry0
+        x1 = ex1 if ex1 < rx1 else rx1
+        y1 = ey1 if ey1 < ry1 else ry1
         if x0 > x1 or y0 > y1:
             return []
-        nx, ny = shape.divisions_x, shape.divisions_y
-        i_lo = _axis_bin(x0, ext.min.x, shape.bin_width, nx)
-        i_hi = _axis_bin(x1, ext.min.x, shape.bin_width, nx)
-        j_lo = _axis_bin(y0, ext.min.y, shape.bin_height, ny)
-        j_hi = _axis_bin(y1, ext.min.y, shape.bin_height, ny)
-        bins = state.rendered._bins
-        lists = [
-            lst
-            for j in range(j_lo, j_hi + 1)
-            for lst in bins[j * nx + i_lo : j * nx + i_hi + 1]
-            if lst is not None
-        ]
-        if not lists:
-            return []
-        xs = np.concatenate([lst.xs for lst in lists])
-        ys = np.concatenate([lst.ys for lst in lists])
-        ids = np.concatenate([lst.ids_arr for lst in lists])
-        hit = (xs >= rect.min.x) & (xs <= rect.max.x) & (ys >= rect.min.y) & (ys <= rect.max.y)
-        return np.sort(ids[hit]).tolist()
+        nx, ny, bw, bh = state.nx, state.ny, state.bin_w, state.bin_h
+        i_lo = _axis_bin(x0, ex0, bw, nx)
+        width = _axis_bin(x1, ex0, bw, nx) + 1 - i_lo
+        j_lo = _axis_bin(y0, ey0, bh, ny)
+        j_hi = _axis_bin(y1, ey0, bh, ny)
+        starts, ids, xs, ys = state.starts, state.ids, state.xs, state.ys
+        rows = range(j_lo * nx + i_lo, j_hi * nx + i_lo + 1, nx)  # each row's first bin
+        if j_lo == j_hi:
+            s, e = starts[rows[0]], starts[rows[0] + width]
+            wxs, wys, wids = xs[s:e], ys[s:e], ids[s:e]
+        else:
+            # copy each row's slice into arrays sized once for the window
+            n = 0
+            for b in rows:
+                n += starts[b + width] - starts[b]
+            wxs, wys, wids = np.empty(n), np.empty(n), np.empty(n, dtype=ids.dtype)
+            o = 0
+            for b in rows:
+                s, e = starts[b], starts[b + width]
+                k = o + e - s
+                wxs[o:k], wys[o:k], wids[o:k] = xs[s:e], ys[s:e], ids[s:e]
+                o = k
+        hit = (wxs >= rx0) & (wxs <= rx1) & (wys >= ry0) & (wys <= ry1)
+        return np.sort(wids[hit]).tolist()

@@ -71,8 +71,10 @@ class HierGridIndex(GridIndex):
             if extents == shape.extents:
                 continue  # a child over the same box would subdivide forever
             state.children[lst] = self._build_level(
-                positions, lst.ids, pts, extents, state.depth + 1, floor
+                positions, lst.ids, lst.ids_arr, pts, extents, state.depth + 1, floor
             )
+            # queries delegate to the child and never scan this list
+            lst.xs = lst.ys = lst.triples = None
 
     # -- inspection ----------------------------------------------------------
 

@@ -121,7 +121,7 @@ class PointCollection(IndexableSource):
         self._extents = None
 
     def append(self, x: float, y: float) -> RecordId:
-        self._pts = np.vstack([self._pts, np.array([[x, y]], dtype=np.float64)])
+        self._pts = np.vstack([self._pts, _finite_row(x, y)])
         self._mutated()
         return len(self._pts) - 1
 
@@ -134,8 +134,17 @@ class PointCollection(IndexableSource):
     def move(self, rid: RecordId, x: float, y: float) -> None:
         if not 0 <= rid < len(self._pts):
             raise IndexError(f"record id {rid} out of range")
-        self._pts[rid] = (x, y)
+        self._pts[rid] = _finite_row(x, y)
         self._mutated()
+
+
+def _finite_row(x: float, y: float) -> np.ndarray:
+    """(x, y) as one float64 row; a NaN or infinite coordinate is rejected
+    with the constructor's message, before anything is stored."""
+    row = np.array([x, y], dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("points must be finite")
+    return row
 
 
 class SubGridSource(IndexableSource):

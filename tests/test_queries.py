@@ -1,8 +1,10 @@
 """Nearest and range query behavior of the flat index (the range tests also
 cover the hierarchical index, which answers ranges from its root level)."""
+import gc
 import json
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from hiergrid import (
     BinCoord,
+    DEFAULT_EXTENTS,
     BruteForceIndex,
     Extents,
     GridIndex,
@@ -219,20 +222,71 @@ class TestRangeQuery:
         assert got == [0, 1]
 
     def test_matches_oracle_on_random_rects(self):
-        pts = gaussian_points(1200, seed=13)
-        idx = GridIndex(pts, 9, 9)
-        idx.ensure_built()
-        ext = idx.shape.extents.scaled(2.0)
+        """Random rectangles over twice the extents, plus small ones inside
+        them, against the oracle, on flat and hierarchical indexes. The
+        sparse clustered data leaves most bins empty, so the windows include
+        every case a window row can meet: windows of three or more rows,
+        rows whose first and last bins are empty, and windows of empty bins
+        only."""
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(0.0, 1000.0, (6, 2))
+        data = {
+            "gaussian": gaussian_points(1200, seed=13),
+            "clustered": PointCollection(
+                np.vstack([c + rng.normal(0.0, 6.0, (40, 2)) for c in centers])
+            ),
+        }
+        for name, pts in data.items():
+            brute = BruteForceIndex(pts)
+            for idx in (GridIndex(pts, 9, 9), HierGridIndex(pts, 9, 9, HierConfig(8))):
+                case = (name, type(idx).__name__)
+                tall, edged, empty = self._check_random_rects(idx, brute, case)
+                assert tall and edged, case
+                if name == "clustered":
+                    assert empty, case
+
+    @staticmethod
+    def _check_random_rects(idx, brute, case) -> tuple[int, int, int]:
+        """Check 300 rectangles against the oracle; count the windows of 3+
+        rows, those with a row whose first and last bins are empty, and
+        those of empty bins only."""
+        shape = idx.shape
+        ext = shape.extents
+        wide = ext.scaled(2.0)
         rng = np.random.default_rng(17)
-        brute = BruteForceIndex(pts)
+        corners = [
+            (rng.uniform(wide.min.x, wide.max.x, 2), rng.uniform(wide.min.y, wide.max.y, 2))
+            for _ in range(150)
+        ]
         for _ in range(150):
-            xs = rng.uniform(ext.min.x, ext.max.x, 2)
-            ys = rng.uniform(ext.min.y, ext.max.y, 2)
+            x, y = rng.uniform((ext.min.x, ext.min.y), (ext.max.x, ext.max.y))
+            w, h = rng.uniform(0.0, 0.3, 2) * (ext.width, ext.height)
+            corners.append((np.array([x, x + w]), np.array([y, y + h])))
+        rendered = idx.rendered
+
+        def empty_bin(i, j):
+            return rendered.at(BinCoord(i, j)) is None
+
+        tall = edged = empty = 0
+        for xs, ys in corners:
             rect = Extents(
                 Point2D(float(xs.min()), float(ys.min())),
                 Point2D(float(xs.max()), float(ys.max())),
             )
-            assert idx.range_query(rect) == brute.range(rect)
+            assert idx.range_query(rect) == brute.range(rect), (case, rect)
+            lo = resolve_bin(
+                Point2D(max(rect.min.x, ext.min.x), max(rect.min.y, ext.min.y)), shape
+            )
+            hi = resolve_bin(
+                Point2D(min(rect.max.x, ext.max.x), min(rect.max.y, ext.max.y)), shape
+            )
+            if lo is None or hi is None:
+                continue  # no window: the rectangle misses the extents
+            rows = range(lo.j, hi.j + 1)
+            tall += len(rows) >= 3
+            edged += any(empty_bin(lo.i, j) and empty_bin(hi.i, j) for j in rows)
+            empty += all(empty_bin(i, j) for j in rows for i in range(lo.i, hi.i + 1))
+        return tall, edged, empty
 
     def test_returns_python_ints_strictly_ascending(self):
         pts = gaussian_points(1500, seed=21)
@@ -258,6 +312,70 @@ class TestRangeQuery:
         assert idx.range_query(rect) == []
         src.append(50.0, 50.0)
         assert idx.range_query(rect) == [2]
+
+
+class TestCollectionShare:
+    def test_range_calls_take_no_more_than_their_share_of_gen0_collections(self):
+        """CPython's young-generation collections fire in whichever call
+        pushes the count of live container objects over the threshold.
+        Results stay alive, so every call adds to the count; a call that
+        also builds transient containers is more likely to cross it. Once
+        nearest queries stopped building coordinate tuples and neighbor
+        lists, a range query that still gathered its bins into Python lists
+        caught over a third of the collections at a tenth of the calls, and
+        the benchmark read that as range tail latency.
+
+        The stream mirrors the flat benchmark's: 50k uniform points in a
+        32x32 grid, 90% nearest queries (a quarter of them uniform over
+        twice the extents) and 10% range squares of side 2% of the width,
+        with each pass's latencies and answers kept.
+        """
+        pts = uniform_points(50_000, seed=42)
+        idx = GridIndex(pts, 32, 32)
+        idx.ensure_built()
+        rng = np.random.default_rng([42, 1])
+        m = 4000
+        ext = DEFAULT_EXTENTS
+        wide = pts.data_extents.scaled(2.0)
+        is_range = (rng.random(m) < 0.1).tolist()
+        qs = rng.uniform((ext.min.x, ext.min.y), (ext.max.x, ext.max.y), (m, 2))
+        far = rng.uniform((wide.min.x, wide.min.y), (wide.max.x, wide.max.y), (m, 2))
+        pick = rng.random(m) < 0.25
+        qs[pick] = far[pick]
+        half = 0.01 * ext.width
+        centers = rng.uniform((ext.min.x, ext.min.y), (ext.max.x, ext.max.y), (m, 2)).tolist()
+        ops = [
+            (r, Extents(Point2D(x - half, y - half), Point2D(x + half, y + half)))
+            if r
+            else (r, Point2D(qx, qy))
+            for r, (qx, qy), (x, y) in zip(is_range, qs.tolist(), centers)
+        ]
+        in_range = [False]
+        collections = {False: 0, True: 0}
+
+        def on_gc(phase, info):
+            if phase == "start" and info["generation"] == 0:
+                collections[in_range[0]] += 1
+
+        kept = []
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            for _ in range(10):
+                lat, out = [], []
+                for r, arg in ops:
+                    in_range[0] = r
+                    t0 = time.perf_counter()
+                    res = idx.range_query(arg) if r else idx.nearest(arg)
+                    lat.append(time.perf_counter() - t0)
+                    in_range[0] = False
+                    out.append(res)
+                kept.append((lat, out))
+        finally:
+            gc.callbacks.remove(on_gc)
+        total = collections[False] + collections[True]
+        assert total >= 20  # enough collections for a share to mean something
+        assert collections[True] / total <= sum(is_range) / m, collections
 
 
 class TestConcurrentReads:

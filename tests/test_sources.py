@@ -1,10 +1,13 @@
 """Source contract: point collections, proxies, the version handshake."""
+import math
+
 import numpy as np
 import pytest
 
 from hiergrid import (
     EmptySourceError,
     Extents,
+    GridIndex,
     Point2D,
     PointCollection,
     Record,
@@ -48,6 +51,30 @@ class TestPointCollection:
             PointCollection([(1.0, 2.0, 3.0)])
         with pytest.raises(ValueError):
             PointCollection([(float("nan"), 0.0)])
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda src: src.move(1, math.nan, 0.0),
+            lambda src: src.move(0, 2.0, -math.inf),
+            lambda src: src.append(math.inf, 5.0),
+            lambda src: src.append(1.0, math.nan),
+        ],
+        ids=["move-nan", "move-inf", "append-inf", "append-nan"],
+    )
+    def test_mutations_reject_non_finite_coordinates(self, mutate):
+        """A non-finite coordinate is refused with the constructor's message
+        and leaves the points and the version as they were, so indexes over
+        the source keep answering."""
+        src = pc((1.0, 1.0), (9.0, 9.0), (5.0, 2.0))
+        idx = GridIndex(src, 2, 2)
+        idx.nearest(Point2D(0.0, 0.0))
+        before, version = src.positions.copy(), src.version
+        with pytest.raises(ValueError, match="points must be finite"):
+            mutate(src)
+        assert np.array_equal(src.positions, before)
+        assert src.version == version
+        assert idx.nearest(Point2D(8.0, 8.0)).record == 1
 
     def test_positions_view_is_read_only(self):
         src = pc((1.0, 2.0))
