@@ -67,7 +67,10 @@ def _parse_divisions(text: str) -> tuple[int, int]:
 
 
 def _parse_divisions_list(text: str) -> list[tuple[int, int]]:
-    return [_parse_divisions(part) for part in text.split(",") if part]
+    out = [_parse_divisions(part) for part in text.split(",") if part]
+    if not out:
+        raise argparse.ArgumentTypeError(f"expected WxH[,WxH...], got {text!r}")
+    return out
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -236,6 +236,17 @@ def tight_extents(pts: np.ndarray) -> Extents:
     # scalars would make every operation there a numpy call
     lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
     return Extents(Point2D(*lo), Point2D(*hi)).inflated_if_degenerate()
+
+
+def tight_extents_xy(xs: Sequence[float], ys: Sequence[float]) -> Extents:
+    """tight_extents of finite coordinates given as Python floats, without
+    building an array: for a few records the numpy calls cost more than the
+    work. Of equal extremes it keeps the last, as tight_extents' row-by-row
+    numpy reduction does, so -0.0 and 0.0 give the same bits either way."""
+    xs, ys = xs[::-1], ys[::-1]
+    return Extents(
+        Point2D(min(xs), min(ys)), Point2D(max(xs), max(ys))
+    ).inflated_if_degenerate()
 
 
 def bounding_extents(points) -> Extents:

@@ -4,19 +4,31 @@ Records are rendered into a grid of id lists (the rendered grid, nulls where
 empty), every empty bin is then redirected to the list holding the record
 nearest its center (the filled grid), and nearest queries scan the query
 point's bin plus, when the home-bin short circuit does not fire, its
-1-neighborhood. A rebuild fetches every record once into one positions
-array and builds the root level from it. A list may own a child level (the
-hierarchical index adds them); the search delegates to it wherever it would
-scan that list, so the flat index is the case with no children.
+1-neighborhood. A rebuild fetches every record once into two float lists,
+writes them into one positions array a column at a time and builds the root
+level from it. A list may own a child level (the hierarchical index adds
+them); the search delegates to it wherever it would scan that list, so the
+flat index is the case with no children.
 
 Every level, root and child alike, is built from its own records alone: its
-box is the tight box of their positions, and gap fill is one argmin over
-empty-bin centers x those positions, taking the winner's list from the bin
-rendering put it in. Levels of at least _VECTOR_SCAN_MIN records are binned
-and grouped in one numpy pass; smaller ones loop over render_point. Either
-way the level keeps its records sorted by bin (row-major, ascending id
-within a bin) as id, x and y arrays, and every list's arrays are views of
-one slice of them.
+box is the tight box of their positions, and gap fill takes for each empty
+bin the lowest-id record nearest its center, and that record's list from
+the bin rendering put it in. Every level groups its records by bin
+(row-major, ascending id within a bin), in one of two forms:
+
+- An array level (the root, and every child of at least _VECTOR_SCAN_MIN
+  records) is binned and grouped in one numpy pass and keeps the grouped
+  records as id, x and y arrays; each list holds views of one slice of
+  them, and (id, x, y) triples as well when it is short.
+- A list level (a child of fewer records) is built from its parent list's
+  triples in Python: _axis_bin bins, a stable sort groups, and the level
+  and its lists hold only triples. Below a few tens of records the numpy
+  calls cost more than the work, and most levels of a deep tree are this
+  small (a 2x2 b=1 tree over 5,000 points has 2,888 levels, median 3
+  records).
+
+Gap fill loops in Python on a list level with few empty bins x records, and
+takes one numpy argmin otherwise.
 
 A level visit works on the level's own slots: it finds the home bin with
 _axis_bin, the boundary distance from bin_rect's edge arithmetic and the
@@ -48,12 +60,22 @@ from .geometry import (
 from .sources import EmptySourceError, IndexableSource, RecordId
 
 # Below this list length a plain Python scan beats the numpy call overhead;
-# levels with fewer records also render point by point.
+# child levels with fewer records are list levels, which hold no arrays.
 _VECTOR_SCAN_MIN = 24
 
 # Most distances one gap-fill argmin holds at once (empty bins x records),
 # which bounds its temporaries to a few tens of MB on any level.
 _GAP_FILL_BLOCK = 1 << 20
+
+# Most distances (empty bins x records) a list level's gap fill computes in
+# a Python loop; above it one numpy argmin is cheaper. Timed per call, the
+# loop costs about 2 us per empty bin plus 0.15 us per distance and numpy
+# 15-35 us, so they cross between about 70 and 110 distances. The 2x2 list
+# levels of a quad tree need at most 46 unless all records share an x or a
+# y: a tight box leaves at most 2 of 4 bins empty, and a list level has at
+# most 23 records. The 10x10 list levels of a b=8 tree over 20k gaussian
+# points need 819-1,886, so those keep numpy.
+_GAP_FILL_LOOP_MAX = 64
 
 
 class OutsideExtentsError(ValueError):
@@ -87,16 +109,24 @@ class BinList:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def freeze(self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, start: int, end: int):
-        """Cache the member ids and positions for the query scans, as views
-        of the slice [start, end) of the level's bin-grouped arrays."""
+    def freeze(self, rows, start: int, end: int) -> None:
+        """Cache the members for the query scans from the slice [start, end)
+        of `rows`, the level's records grouped by bin.
+
+        On an array level rows is the level's (ids, xs, ys) arrays: the list
+        keeps views of their slices, and (id, x, y) triples as well when it
+        is shorter than _VECTOR_SCAN_MIN. On a list level rows is a list of
+        triples, and the list keeps only its slice of them.
+        """
+        if isinstance(rows, list):
+            self.triples = rows[start:end]
+            return
+        ids, xs, ys = rows
         self.ids_arr = ids[start:end]
         self.xs = xs[start:end]
         self.ys = ys[start:end]
         if end - start < _VECTOR_SCAN_MIN:
             self.triples = list(zip(self.ids, self.xs.tolist(), self.ys.tolist()))
-        else:
-            self.triples = None
 
 
 class RenderedGrid:
@@ -162,12 +192,17 @@ class RenderedGrid:
         flat = axis_bins(ys, ext.min.y, shape.bin_height, shape.divisions_y) * nx
         flat += axis_bins(xs, ext.min.x, shape.bin_width, nx)
         order = np.argsort(flat, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(flat[order])) + 1)
+        grouped = flat[order]
+        # cuts[r]:cuts[r + 1] is the r-th run of equal bins in sort order
+        cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(order)]
+        run_bins = grouped[cuts[:-1]].tolist()
+        firsts = order[cuts[:-1]].tolist()
+        members = [ids[k] for k in order.tolist()]
         # a stable sort keeps each bin's positions ascending, so ordering the
-        # groups by their first position gives first-seen order
-        for members in sorted(groups, key=lambda g: int(g[0])):
-            b = int(flat[members[0]])
-            self._list_at(b % nx, b // nx).ids.extend([ids[k] for k in members.tolist()])
+        # runs by their first position gives first-seen order
+        for r in sorted(range(len(firsts)), key=firsts.__getitem__):
+            b = run_bins[r]
+            self._list_at(b % nx, b // nx).ids.extend(members[cuts[r] : cuts[r + 1]])
         return flat, order
 
     def render_line(self, rid: RecordId, a: Point2D, b: Point2D) -> None:
@@ -310,11 +345,12 @@ class _BuiltState:
     ring through filled.
 
     min_x .. ny are the shape's own float and int objects, so the level
-    visit reads its box, bin sizes and divisions without a call. ids, xs
-    and ys hold the level's records grouped by bin (row-major, ascending id
-    within a bin); every BinList's arrays are views of one slice of them.
-    The root also keeps starts, each bin's offset into them (one more for
-    the end), which range_query reads a window row at a time.
+    visit reads its box, bin sizes and divisions without a call. On an array level ids, xs and ys
+    hold the level's records grouped by bin (row-major, ascending id within
+    a bin), and every BinList's arrays are views of one slice of them; a
+    list level leaves them None. The root also keeps starts, each bin's
+    offset into them (one more for the end), which range_query reads a
+    window row at a time.
     """
 
     __slots__ = (
@@ -486,11 +522,18 @@ class GridIndex:
         if n < 1:
             raise EmptySourceError("cannot build an index over an empty source")
         scratch = source.new_scratch()
-        positions = np.empty((n, 2), dtype=np.float64)
+        fetch = source.fetch
+        # one float list per axis, written into the array a column at a
+        # time: a numpy write per value costs more than the fetch itself
+        xs: list[float] = []
+        ys: list[float] = []
         for rid in range(n):
-            rec = source.fetch(rid, scratch)
-            positions[rid, 0] = rec.x
-            positions[rid, 1] = rec.y
+            rec = fetch(rid, scratch)
+            xs.append(rec.x)
+            ys.append(rec.y)
+        positions = np.empty((n, 2), dtype=np.float64)
+        positions[:, 0] = xs
+        positions[:, 1] = ys
         state = self._build_level(
             positions, range(n), np.arange(n), positions, tight_extents(positions)
         )
@@ -501,34 +544,46 @@ class GridIndex:
         self,
         positions: np.ndarray,
         ids,
-        ids_arr: np.ndarray,
-        pts: np.ndarray,
+        ids_arr: np.ndarray | None,
+        pts,
         extents: Extents,
         depth: int = 0,
         size_floor: float | None = None,
     ) -> _BuiltState:
-        """Build one grid level over the records `ids` (ascending root ids;
-        `ids_arr` holds the same as an array), at `pts` (their positions, in
-        the same order), within `extents`: render, group by bin, freeze, gap
-        fill, the after-rebuild hook, then border prep."""
+        """Build one grid level over the records `ids` (ascending root ids)
+        within `extents`: render, group by bin, freeze, gap fill, the
+        after-rebuild hook, then border prep.
+
+        A root, and a child of at least _VECTOR_SCAN_MIN records, is an
+        array level: `pts` is an (n, 2) array of the records' positions,
+        `ids_arr` holds their ids as an array, and the level keeps its
+        records grouped by bin as id, x and y arrays, which its lists view.
+        A smaller child is a list level: `pts` is its parent list's (id, x,
+        y) triples (`ids_arr` is not read), and the level and its lists hold
+        only triples; numpy runs there only for a gap fill too large for
+        _fill_gaps' Python loop.
+        """
         shape = GridShape(self.divisions_x, self.divisions_y, extents)
         state = _BuiltState(shape, positions, depth, size_floor)
         bin_of, order = self._render_records(state, ids, pts)
         # the records grouped by bin, in the order rendering sorted them
-        ids_sorted = ids_arr[order]
-        xs, ys = pts[order, 0], pts[order, 1]
-        nbins = shape.divisions_x * shape.divisions_y
-        starts = np.zeros(nbins + 1, dtype=np.intp)
-        np.cumsum(np.bincount(bin_of, minlength=nbins), out=starts[1:])
-        starts = starts.tolist()
-        nx = shape.divisions_x
-        for lst, c in state.rendered.registry.items():
-            f = c.j * nx + c.i
-            lst.freeze(ids_sorted, xs, ys, starts[f], starts[f + 1])
-        state.ids, state.xs, state.ys = ids_sorted, xs, ys
+        if isinstance(pts, list):
+            rows = [pts[k] for k in order]
+        else:
+            state.ids, state.xs, state.ys = ids_arr[order], pts[order, 0], pts[order, 1]
+            rows = (state.ids, state.xs, state.ys)
+        # every bin's records are one run of rows, bins in row-major order
+        bins = state.rendered._bins
+        starts = [0] * (len(bins) + 1)
+        end = 0
+        for f, lst in enumerate(bins, 1):
+            if lst is not None:
+                start, end = end, end + len(lst.ids)
+                lst.freeze(rows, start, end)
+            starts[f] = end
         if depth == 0:
             state.starts = starts
-        filled_bins = list(state.rendered._bins)  # same identities
+        filled_bins = list(bins)  # same identities
         self._fill_gaps(state, filled_bins, pts, bin_of)
         state.filled = FilledGrid(shape, filled_bins)
         self._on_after_rebuilt(state)
@@ -539,49 +594,71 @@ class GridIndex:
         """Runs for every level built, before border prep; the hierarchical
         index subdivides here."""
 
-    def _render_records(
-        self, state: _BuiltState, ids, pts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Render each record of `ids` at its position in `pts`, in one numpy
-        pass unless the level is too small to pay for it; returns each
-        record's flat bin index and the stable sort of the records by it."""
-        rendered = state.rendered
-        if len(ids) >= _VECTOR_SCAN_MIN:
-            return rendered._render_sorted(ids, pts)
-        # two flat float lists build faster than one (x, y) list per record
-        xs, ys = pts.T.tolist()
-        bin_of = np.array(
-            [rendered.render_point(rid, Point2D(x, y)) for rid, x, y in zip(ids, xs, ys)]
-        )
-        return bin_of, np.argsort(bin_of, kind="stable")
+    def _render_records(self, state: _BuiltState, ids, pts):
+        """Render each record of `ids` at its position in `pts`; returns each
+        record's flat bin index and the stable sort of the records by it.
 
-    def _fill_gaps(
-        self, state: _BuiltState, bins: list, pts: np.ndarray, bin_of: np.ndarray
-    ) -> None:
+        An array level renders in one numpy pass. A list level loops over
+        its (id, x, y) triples with render_point's arithmetic (_axis_bin on
+        each axis), creating lists in first-seen order as render_point does,
+        and sorts with Python's stable sort.
+        """
+        rendered = state.rendered
+        if not isinstance(pts, list):
+            return rendered._render_sorted(ids, pts)
+        x0, y0, bw, bh, nx, ny = (
+            state.min_x, state.min_y, state.bin_w, state.bin_h, state.nx, state.ny
+        )
+        bins = rendered._bins
+        bin_of = []
+        for rid, x, y in pts:
+            i = _axis_bin(x, x0, bw, nx)
+            j = _axis_bin(y, y0, bh, ny)
+            f = j * nx + i
+            lst = bins[f]
+            if lst is None:
+                lst = rendered._list_at(i, j)
+            lst.ids.append(rid)  # ids ascend and are unique
+            bin_of.append(f)
+        return bin_of, sorted(range(len(bin_of)), key=bin_of.__getitem__)
+
+    def _fill_gaps(self, state: _BuiltState, bins: list, pts, bin_of) -> None:
         """Point every empty bin at the list holding the record nearest its
         center, ties to the lowest id.
 
-        One argmin per block of empty bins over the level's positions `pts`,
-        in ascending id order, so its first minimum is the lowest-id nearest
-        record; the winner's list is the one in its rendered bin, bin_of.
+        The winner is the first minimum over the level's records `pts`, in
+        ascending id order, so it is the lowest-id nearest record; its list
+        is the one in its rendered bin, bin_of. A list level with at most
+        _GAP_FILL_LOOP_MAX (empty bins x records) distances loops in Python;
+        every other level takes one numpy argmin per block of empty bins.
         Centers and squared distances use the arithmetic of bin_center and
-        _scan_list, so ties resolve as a query scan would.
+        _scan_list either way, so ties resolve as a query scan would.
         """
         empty = [flat for flat, lst in enumerate(bins) if lst is None]
         if not empty:
             return
+        x0, y0, bw, bh, nx = state.min_x, state.min_y, state.bin_w, state.bin_h, state.nx
+        if isinstance(pts, list):
+            if len(empty) * len(pts) <= _GAP_FILL_LOOP_MAX:
+                for f in empty:
+                    cx = x0 + (f % nx + 0.5) * bw
+                    cy = y0 + (f // nx + 0.5) * bh
+                    d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for _, x, y in pts]
+                    # index finds the first minimum, as argmin does
+                    bins[f] = bins[bin_of[d2.index(min(d2))]]
+                return
+            pts = np.array(pts)[:, 1:]
         xs, ys = pts[:, 0], pts[:, 1]
-        shape = state.shape
-        ext = shape.extents
         flat = np.array(empty)
-        cxs = ext.min.x + (flat % shape.divisions_x + 0.5) * shape.bin_width
-        cys = ext.min.y + (flat // shape.divisions_x + 0.5) * shape.bin_height
+        cxs = x0 + (flat % nx + 0.5) * bw
+        cys = y0 + (flat // nx + 0.5) * bh
+        owner_bins = np.asarray(bin_of)
         step = max(1, _GAP_FILL_BLOCK // len(xs))
         for lo in range(0, len(empty), step):
             dx = xs - cxs[lo : lo + step, None]
             dy = ys - cys[lo : lo + step, None]
             d2 = dx * dx + dy * dy
-            owners = bin_of[d2.argmin(axis=1)].tolist()
+            owners = owner_bins[d2.argmin(axis=1)].tolist()
             for f, b in zip(empty[lo : lo + step], owners):
                 bins[f] = bins[b]
 

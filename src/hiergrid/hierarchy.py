@@ -4,7 +4,10 @@ After a level is built, every unique bin list holding more than
 max_bin_records records gets a child level, built by the same level builder
 over that list's root record ids on their tight bounding box, recursing
 until lists are small enough, bins reach the size floor (a fixed fraction
-of the root box's diagonal), or a child's box would equal its level's.
+of the root box's diagonal), or a child's box would equal its level's. A
+list short enough to keep (id, x, y) triples gets a list level built from
+them, its box taken in Python; a longer one gets an array level over its
+records gathered from the positions array.
 Queries run GridIndex's level search, which delegates to a child level
 wherever it would scan a subdivided list.
 """
@@ -13,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import BinCoord, Extents, default_smallest_dimension, tight_extents
+from .geometry import (
+    BinCoord,
+    Extents,
+    default_smallest_dimension,
+    tight_extents,
+    tight_extents_xy,
+)
 from .gridindex import GridIndex, _BuiltState
 from .sources import IndexableSource, RecordId
 
@@ -66,8 +75,13 @@ class HierGridIndex(GridIndex):
         for lst in state.rendered.registry:
             if len(lst) <= self.config.max_bin_records:
                 continue
-            pts = positions[lst.ids_arr]
-            extents = tight_extents(pts)
+            rows = lst.triples
+            if rows is None:  # a long list: its child is an array level
+                pts = positions[lst.ids_arr]
+                extents = tight_extents(pts)
+            else:  # a short one: its child is a list level over its triples
+                _, xs, ys = zip(*rows)
+                pts, extents = rows, tight_extents_xy(xs, ys)
             if extents == shape.extents:
                 continue  # a child over the same box would subdivide forever
             state.children[lst] = self._build_level(

@@ -3,6 +3,7 @@ collection, and a proxy sub-collection over a parent's id list.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
@@ -109,11 +110,12 @@ class PointCollection(IndexableSource):
         return self._version
 
     def fetch(self, rid: RecordId, scratch: Record) -> Record:
-        if not 0 <= rid < len(self._pts):
-            raise IndexError(f"record id {rid} out of range [0, {len(self._pts)})")
-        row = self._pts[rid]
-        scratch.x = float(row[0])
-        scratch.y = float(row[1])
+        pts = self._pts
+        if not 0 <= rid < len(pts):
+            raise IndexError(f"record id {rid} out of range [0, {len(pts)})")
+        # item returns Python floats without building a row view
+        scratch.x = pts.item(rid, 0)
+        scratch.y = pts.item(rid, 1)
         return scratch
 
     def _mutated(self) -> None:
@@ -187,8 +189,10 @@ class SubGridSource(IndexableSource):
 def load_points(path) -> PointCollection:
     """Read the x,y-per-line point file format.
 
-    UTF-8 text; one record per line as two decimal literals separated by a
-    comma; blank lines and lines starting with '#' are ignored.
+    UTF-8 text; one record per line as two finite decimal literals separated
+    by a comma; blank lines and lines starting with '#' are ignored. A
+    malformed line, a NaN or an infinity raises ValueError naming the file
+    and line.
     """
     pts: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -200,9 +204,12 @@ def load_points(path) -> PointCollection:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'x,y', got {raw!r}")
             try:
-                pts.append((float(parts[0]), float(parts[1])))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'x,y', got {raw!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: coordinates must be finite, got {raw!r}")
+            pts.append((x, y))
     return PointCollection(pts)
 
 

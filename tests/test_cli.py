@@ -183,6 +183,15 @@ class TestCompare:
         assert len(list(tmp_path.glob("cmp_*.pgm"))) == 4
         assert "absolute" in list(tmp_path.glob("cmp_*.pgm"))[0].name
 
+    @pytest.mark.parametrize("divisions", ["", ","])
+    def test_empty_division_list_exit_code_two(self, divisions, tmp_path, capsys):
+        # rejected while parsing: no header-only CSV is written
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--n", "200", "--divisions", divisions, "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "--divisions: expected WxH[,WxH...]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_mode(self, tmp_path):
         out = tmp_path / "cmp"
         main(

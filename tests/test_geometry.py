@@ -19,7 +19,7 @@ from hiergrid import (
     neighborhood,
     resolve_bin,
 )
-from hiergrid.geometry import DEGENERATE_AXIS_EPS
+from hiergrid.geometry import DEGENERATE_AXIS_EPS, tight_extents, tight_extents_xy
 
 UNIT = Extents(Point2D(0.0, 0.0), Point2D(100.0, 100.0))
 SHAPE10 = GridShape(10, 10, UNIT)
@@ -261,6 +261,24 @@ class TestBoundingExtents:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bounding_extents([])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e200]),
+                st.sampled_from([0.0, -0.0, 4.0, -1e-9]),
+            ),
+            min_size=1,
+            max_size=23,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_python_box_has_the_array_box_bits(self, pts):
+        # signed zeros included: both keep the last of equal extremes
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        boxes = [tight_extents(np.array(pts, dtype=np.float64)), tight_extents_xy(xs, ys)]
+        a, b = ([v.hex() for v in (e.min.x, e.min.y, e.max.x, e.max.y)] for e in boxes)
+        assert a == b
 
 
 class TestDefaultSmallestDimension:

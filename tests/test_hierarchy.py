@@ -13,6 +13,7 @@ from hiergrid import (
     HierGridIndex,
     Point2D,
     PointCollection,
+    RenderedGrid,
     bin_center,
     default_smallest_dimension,
     gaussian_points,
@@ -33,6 +34,26 @@ def levels(state):
     for child in state.children.values():
         out.extend(levels(child))
     return out
+
+
+def tree(name: str) -> HierGridIndex:
+    """A hierarchical index with many levels. lattice: lattice-snapped
+    records with duplicates, so many empty-bin centers sit at equal distance
+    from several records. quadtree: a 2x2 b=1 tree, whose levels are mostly
+    list levels of a few records. quadtree-1e200: the same over points
+    spread across +-1e200, where squared distances overflow to inf and tie."""
+    rng = np.random.default_rng(5)
+    if name == "lattice":
+        return HierGridIndex(
+            PointCollection(rng.integers(0, 12, (400, 2)) * 5.0), 5, 3, HierConfig(3)
+        )
+    scale = 1.0 if name == "quadtree" else 1e200
+    return HierGridIndex(
+        PointCollection(rng.uniform(-scale, scale, (500, 2))), 2, 2, HierConfig(1)
+    )
+
+
+TREES = ["lattice", "quadtree", "quadtree-1e200"]
 
 
 def leaf_key(leaves):
@@ -120,31 +141,58 @@ class TestSubdivisionPolicy:
 
 
 class TestLevels:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_gap_fill_takes_lowest_id_nearest_record_on_every_level(self):
-        # lattice-snapped records with duplicates: many empty-bin centers
-        # sit at equal distance from several records
-        rng = np.random.default_rng(5)
-        pts = PointCollection(rng.integers(0, 12, (400, 2)) * 5.0)
-        idx = HierGridIndex(pts, 5, 3, HierConfig(max_bin_records=3))
-        all_levels = levels(idx.ensure_built())
-        assert len(all_levels) > 20
+        for name in TREES:
+            all_levels = levels(tree(name).ensure_built())
+            assert len(all_levels) > 20
+            for state in all_levels:
+                shape = state.shape
+                members = sorted(rid for lst in state.rendered.registry for rid in lst.ids)
+                for flat, lst in enumerate(state.filled.flat):
+                    c = BinCoord(flat % shape.divisions_x, flat // shape.divisions_x)
+                    if state.rendered.at(c) is not None:
+                        continue
+                    center = bin_center(c, shape)
+                    d2s = {}
+                    for rid in members:
+                        x, y = state.positions[rid].tolist()
+                        dx = x - center.x
+                        dy = y - center.y
+                        d2s[rid] = dx * dx + dy * dy
+                    low = min(d2s.values())
+                    winner = min(rid for rid, d2 in d2s.items() if d2 == low)
+                    assert winner in lst.ids, (name, state.depth, c)
+                    assert lst in state.rendered.registry
+
+    @pytest.mark.parametrize("name", TREES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_every_level_renders_as_render_point_and_freezes_its_members(self, name):
+        all_levels = levels(tree(name).ensure_built())
+        assert any(state.ids is None for state in all_levels)  # list levels ran
         for state in all_levels:
-            shape = state.shape
             members = sorted(rid for lst in state.rendered.registry for rid in lst.ids)
-            for flat, lst in enumerate(state.filled.flat):
-                c = BinCoord(flat % shape.divisions_x, flat // shape.divisions_x)
-                if state.rendered.at(c) is not None:
+            # registry order and ids equal a render_point loop in id order
+            grid = RenderedGrid(state.shape)
+            for rid in members:
+                grid.render_point(rid, Point2D(*state.positions[rid].tolist()))
+            assert [(c, lst.ids) for lst, c in state.rendered.registry.items()] == [
+                (c, lst.ids) for lst, c in grid.registry.items()
+            ]
+            # a child of fewer than 24 records is a list level: no arrays
+            list_level = state.depth > 0 and len(members) < 24
+            assert (state.ids is None) == list_level
+            for lst in state.rendered.registry:
+                if lst in state.children:
                     continue
-                center = bin_center(c, shape)
-                d2s = {}
-                for rid in members:
-                    dx = state.positions[rid, 0] - center.x
-                    dy = state.positions[rid, 1] - center.y
-                    d2s[rid] = dx * dx + dy * dy
-                low = min(d2s.values())
-                winner = min(rid for rid, d2 in d2s.items() if d2 == low)
-                assert winner in lst.ids, (state.depth, c)
-                assert lst in state.rendered.registry
+                expected = [(rid, *state.positions[rid].tolist()) for rid in lst.ids]
+                if lst.triples is None:  # a long list on an array level
+                    assert not list_level and len(lst) >= 24
+                    got = list(zip(lst.ids_arr.tolist(), lst.xs.tolist(), lst.ys.tolist()))
+                else:
+                    assert (lst.ids_arr is None) == list_level
+                    got = lst.triples
+                assert got == expected, (name, state.depth)
 
     def test_levels_share_the_border_ring_and_only_a_childless_root_has_arrays(self):
         idx = HierGridIndex(uniform_points(2000, seed=8), 6, 4, HierConfig(max_bin_records=4))

@@ -187,10 +187,18 @@ class TestPointFiles:
             load_points(path)
 
     def test_unparseable_number_reports_location(self, tmp_path):
+        # a NaN or an infinity parses as a float, but is reported here with
+        # its location, not later by PointCollection
         path = tmp_path / "bad.csv"
-        path.write_text("1.0,zebra\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"bad\.csv:1"):
-            load_points(path)
+        for text, line in [
+            ("1.0,zebra\n", 1),
+            ("1.0,2.0\nnan,1.0\n", 2),
+            ("# header\n1.0,inf\n", 2),
+            ("1.0,2.0\n\n3.0,-Infinity\n", 3),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=rf"bad\.csv:{line}:"):
+                load_points(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
