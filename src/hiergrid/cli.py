@@ -66,6 +66,13 @@ def _parse_divisions(text: str) -> tuple[int, int]:
     return dx, dy
 
 
+def _parse_sweep_resolution(text: str) -> tuple[int, int]:
+    rx, ry = _parse_divisions(text)
+    if rx < 2 or ry < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2x2, got {text!r}")
+    return rx, ry
+
+
 def _parse_divisions_list(text: str) -> list[tuple[int, int]]:
     out = [_parse_divisions(part) for part in text.split(",") if part]
     if not out:
@@ -118,7 +125,7 @@ def _add_hier_args(p: argparse.ArgumentParser) -> None:
 def _add_sweep_args(p: argparse.ArgumentParser, default_color: str) -> None:
     p.add_argument(
         "--sweep-resolution",
-        type=_parse_divisions,
+        type=_parse_sweep_resolution,
         default=(256, 256),
         metavar="WxH",
         help="query lattice resolution (default: 256x256)",
@@ -345,9 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_hierarchical_layouts(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Exit 2 before any output when a hierarchical mode would run on a 1x1
+    layout, which HierGridIndex rejects."""
+    if getattr(args, "hierarchical", "false") == "false":
+        return
+    layouts = args.divisions if args.command == "compare" else [args.divisions]
+    for dx, dy in layouts:
+        if dx * dy < 2:
+            parser.error(
+                f"--hierarchical {args.hierarchical} needs at least 2 bins per level, "
+                f"got --divisions {dx}x{dy}"
+            )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_hierarchical_layouts(parser, args)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -30,19 +30,19 @@ the bin rendering put it in. Every level groups its records by bin
 Gap fill loops in Python on a list level with few empty bins x records, and
 takes one numpy argmin otherwise.
 
-A level visit works on the level's own slots: it finds the home bin with
-_axis_bin, the boundary distance from bin_rect's edge arithmetic and the
-1-neighborhood by flat-index arithmetic over the filled list, so it builds
-no coordinate objects. A range query reads the root's sorted arrays one
-window row at a time, through the root's bin start offsets.
+A nearest query keeps one running best across all levels. A level visit
+works on the level's own slots: it finds the home bin with _axis_bin, the
+boundary distance from bin_rect's edge arithmetic and the 1-neighborhood by
+flat-index arithmetic over the filled list, so it builds no coordinate
+objects. A range query reads the root's sorted arrays one window row at a
+time, through the root's bin start offsets.
 """
 from __future__ import annotations
 
 import math
 import sys
 import threading
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -299,13 +299,12 @@ class FilledGrid:
         return self._bins
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    """One nearest query's outcome.
-
-    records_examined counts distance evaluations (ids iterated, summed
-    across every level of a hierarchical search). short_circuit is set only
-    when this index's own home-bin scan proved the result exact.
+class QueryResult(NamedTuple):
+    """One nearest query's outcome, a named tuple: it also unpacks, indexes
+    and compares as a plain tuple. records_examined counts distance
+    evaluations (ids iterated, summed across every level of a hierarchical
+    search). short_circuit is set only when this index's own home-bin scan
+    proved the result exact.
     """
 
     record: RecordId
@@ -315,12 +314,12 @@ class QueryResult:
 
 
 class _Best:
-    """Running best candidate plus the examined-records counter.
+    """A query's running best, the (d2, id) minimum of the records every
+    level examined, plus the examined-records counter.
 
     Before any candidate, rid is above every record id, so the first
-    candidate wins the (d2, id) comparison even at d2 = inf (an overflowed
-    square), and candidates tied at inf go to the lowest id.
-    """
+    candidate wins even at d2 = inf (an overflowed square), and candidates
+    tied at inf go to the lowest id."""
 
     __slots__ = ("d2", "rid", "cost")
 
@@ -430,26 +429,31 @@ def _gaps_sq(v: float, lo: float, size: float, n: int) -> list[float]:
     return out
 
 
-def _scan_list(lst: BinList, qx: float, qy: float, best: _Best) -> None:
-    """Linear scan of one list; every id counts as one distance evaluation."""
-    n = len(lst.ids)
-    best.cost += n
+def _scan_list(lst: BinList, qx: float, qy: float, best: _Best) -> float:
+    """Linear scan of one list, its (d2, id) minimum offered to the query's
+    best; every id counts as one distance evaluation. Returns the list's own
+    smallest squared distance, which the home-bin short circuit reads."""
+    best.cost += len(lst.ids)
     triples = lst.triples
     if triples is not None:
-        for rid, x, y in triples:
+        m = math.inf
+        mrid = triples[0][0]  # the lowest id, kept if every square overflows
+        for rid, x, y in triples:  # ids ascend: the first minimum wins
             dx = x - qx
             dy = y - qy
             d2 = dx * dx + dy * dy
-            if d2 < best.d2 or (d2 == best.d2 and rid < best.rid):
-                best.d2 = d2
-                best.rid = rid
+            if d2 < m:
+                m = d2
+                mrid = rid
     else:
         dx = lst.xs - qx
         dy = lst.ys - qy
         d2 = dx * dx + dy * dy
         k = int(d2.argmin())  # first minimum = lowest id (ids ascend)
         m = float(d2[k])
-        best.offer(m, int(lst.ids_arr[k]))
+        mrid = int(lst.ids_arr[k])
+    best.offer(m, mrid)
+    return m
 
 
 class GridIndex:
@@ -685,17 +689,19 @@ class GridIndex:
         """Nearest indexed record to q; always returns one when non-empty."""
         state = self.ensure_built()
         best = _Best()
-        sc = self._search(state, q, best, math.inf)
+        sc = self._search(state, q, best)
         distance = math.sqrt(best.d2)
         if distance == math.inf:  # the squared distance overflowed
             x, y = state.positions[best.rid].tolist()
             distance = math.hypot(x - q.x, y - q.y)
         return QueryResult(best.rid, distance, best.cost, sc)
 
-    def _search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> bool:
-        """Search one level: the border ring from outside the extents, else
-        the home list's child level, else the home list and, unless its
-        short circuit fires (returns True), its 1-neighborhood's lists.
+    def _search(self, state: _BuiltState, q: Point2D, best: _Best) -> bool:
+        """Search one level into the query's running best: the border ring
+        from outside the extents, else the home list's child level, else the
+        home list and, unless its short circuit fires (returns True: the home
+        list's own nearest record is closer than the home bin's nearest
+        edge), its 1-neighborhood's lists.
 
         The home bin is _axis_bin's on each axis, the boundary distance uses
         bin_rect's edges, and the neighborhood is walked row-major by flat
@@ -705,21 +711,20 @@ class GridIndex:
         qx, qy = q.x, q.y
         x0, y0, x1, y1 = state.min_x, state.min_y, state.max_x, state.max_y
         if not (x0 <= qx <= x1 and y0 <= qy <= y1):
-            self._border_search(state, q, best, bound_d2)
+            self._border_search(state, q, best)
             return False
         nx, ny, bw, bh = state.nx, state.ny, state.bin_w, state.bin_h
         i = _axis_bin(qx, x0, bw, nx)
         j = _axis_bin(qy, y0, bh, ny)
-        f = j * nx + i
         bins = state.filled._bins
-        home = bins[f]
+        home = bins[j * nx + i]
         children = state.children
         if children:
             child = children.get(home)
             if child is not None:
-                self._delegate(child, q, best, bound_d2)
+                self._delegate(child, q, best)
                 return False
-        _scan_list(home, qx, qy, best)
+        m = _scan_list(home, qx, qy, best)
         # the distance to the nearest edge of bin_rect((i, j))
         edge = qx - (x0 + i * bw)
         d = (x1 if i == nx - 1 else x0 + (i + 1) * bw) - qx
@@ -731,7 +736,7 @@ class GridIndex:
         d = (y1 if j == ny - 1 else y0 + (j + 1) * bh) - qy
         if d < edge:
             edge = d
-        if best.d2 < edge * edge:
+        if m < edge * edge:
             return True
         i_lo = i - 1 if i else 0
         i_hi = i + 1 if i + 1 < nx else i
@@ -748,29 +753,21 @@ class GridIndex:
                 if child is None:
                     _scan_list(lst, qx, qy, best)
                 else:
-                    self._delegate(child, q, best, bound_d2)
+                    self._delegate(child, q, best)
         return False
 
-    def _delegate(self, child: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
-        """Run the query in a child level with its own running best, whose
-        short circuit and border pruning see only the child's candidates,
-        then offer the child's winner here (a child that pruned every bin
-        offers _Best's initial state, which never wins)."""
-        local = _Best()
-        self._search(child, q, local, min(bound_d2, best.d2))
-        best.cost += local.cost
-        best.offer(local.d2, local.rid)
+    _delegate = _search  # a child level's search, under a name tracers count
 
-    def _border_search(self, state: _BuiltState, q: Point2D, best: _Best, bound_d2: float) -> None:
+    def _border_search(self, state: _BuiltState, q: Point2D, best: _Best) -> None:
         """Out-of-extents scan of the border ring, each distinct list once.
 
         A level with border arrays (a root without children) scans the ring's
         records in one vector pass. Every other level visits bins by
-        ascending rectangle distance until none can beat the running best or
-        the bound its parent passed down. A bin's squared distance is its
-        column's squared gap plus its row's, with bin edges at
-        min + k * bin_size; a stable sort of the row-major ring breaks ties
-        by (row, column).
+        ascending rectangle distance, ties by (row, column), until none can
+        beat the running best. A bin's squared distance is its column's
+        squared gap plus its row's, with bin edges at min + k * bin_size.
+        The distances are sorted as plain floats, and only a bin the visit
+        reaches is located in the row-major ring, by index.
         """
         if state.border_ids is not None:
             dx = state.border_xs - q.x
@@ -778,29 +775,31 @@ class GridIndex:
             d2 = dx * dx + dy * dy
             best.cost += len(d2)
             m = float(d2.min())
-            rid = int(state.border_ids[d2 == m].min())  # ties: lowest id
-            best.offer(m, rid)
+            best.offer(m, int(state.border_ids[d2 == m].min()))  # ties: lowest id
             return
-        ddx = _gaps_sq(q.x, state.min_x, state.bin_w, state.nx)
-        ddy = _gaps_sq(q.y, state.min_y, state.bin_h, state.ny)
+        qx, qy = q.x, q.y
+        ddx = _gaps_sq(qx, state.min_x, state.bin_w, state.nx)
+        ddy = _gaps_sq(qy, state.min_y, state.bin_h, state.ny)
         d2s = [ddx[i] + ddy[j] for i, j in zip(self._ring_i, self._ring_j)]
-        ring_flat = self._ring_flat
         bins = state.filled._bins
         children = state.children
-        seen: set[int] = set()
-        for k in sorted(range(len(d2s)), key=d2s.__getitem__):
-            limit = bound_d2 if bound_d2 < best.d2 else best.d2
-            if d2s[k] > limit:
+        seen = set()
+        k, prev = -1, -1.0
+        for d2 in sorted(d2s):
+            if d2 > best.d2:
                 break
-            lst = bins[ring_flat[k]]
-            if id(lst) in seen:
+            # its first ring position, or the next after the last bin's on a tie
+            k = d2s.index(d2, k + 1 if d2 == prev else 0)
+            prev = d2
+            lst = bins[self._ring_flat[k]]
+            if lst in seen:
                 continue
-            seen.add(id(lst))
+            seen.add(lst)
             child = children.get(lst) if children else None
             if child is None:
-                _scan_list(lst, q.x, q.y, best)
+                _scan_list(lst, qx, qy, best)
             else:
-                self._delegate(child, q, best, bound_d2)
+                self._delegate(child, q, best)
 
     def range_query(self, rect: Extents) -> list[RecordId]:
         """Ids of records inside the closed rectangle, ascending.

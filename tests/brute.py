@@ -4,16 +4,27 @@ Independent per-cell implementations of the segment and rectangle
 intersection rules, used to cross-check the renderers bin by bin. The
 arithmetic mirrors the library's bin-edge convention (min + k * size) so
 closed-boundary hits evaluate identically on both sides. Also the
-hypothesis strategy that probes every bin edge to within an ulp.
+hypothesis strategy that probes every bin edge to within an ulp, and a
+reference copy of the recursive nearest search over a built index's levels.
 """
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
 
-from hiergrid import BinCoord, Extents, GridIndex, GridShape, Point2D, PointCollection
+from hiergrid import (
+    BinCoord,
+    Extents,
+    GridIndex,
+    GridShape,
+    Point2D,
+    PointCollection,
+    neighborhood,
+    resolve_bin,
+)
 
 
 def t_interval(a0: float, d: float, lo: float, hi: float):
@@ -114,3 +125,119 @@ def grid_and_near_edge_probes(draw):
                 v = float(v)
                 probes.append(Point2D(v, inside_y) if axis == 0 else Point2D(inside_x, v))
     return idx, probes
+
+
+class _RefBest:
+    """A level's own running best: (d2, id) minimum and examined count."""
+
+    def __init__(self) -> None:
+        self.d2 = math.inf
+        self.rid = sys.maxsize
+        self.cost = 0
+
+    def offer(self, d2: float, rid: int) -> None:
+        if d2 < self.d2 or (d2 == self.d2 and rid < self.rid):
+            self.d2 = d2
+            self.rid = rid
+
+
+def reference_nearest(index: GridIndex, q: Point2D) -> tuple[int, float, int, bool]:
+    """(record, distance, records_examined, short_circuit) of q by the level
+    search written recursively, one running best per level.
+
+    Each delegation runs the child level with a fresh best and the bound
+    min(parent's bound, parent's best), then offers the child's winner to
+    its parent. A level's short circuit compares its own best after the
+    home scan. An out-of-extents visit of a level with children (or of any
+    child level) sorts its whole border ring stably by squared rectangle
+    distance, row-major, and stops at the first bin farther than its bound
+    or its best; a childless root scans every ring list. Bins come from
+    resolve_bin, bin_rect and neighborhood; records are read from the
+    positions array.
+    """
+    root = index.ensure_built()
+    pos = root.positions.tolist()
+
+    def scan(lst, best: _RefBest) -> None:
+        best.cost += len(lst.ids)
+        for rid in lst.ids:
+            x, y = pos[rid]
+            dx = x - q.x
+            dy = y - q.y
+            best.offer(dx * dx + dy * dy, rid)
+
+    def visit(state, lst, best: _RefBest, bound: float) -> None:
+        child = state.children.get(lst)
+        if child is None:
+            scan(lst, best)
+        else:
+            local = _RefBest()
+            search(child, local, min(bound, best.d2))
+            best.cost += local.cost
+            best.offer(local.d2, local.rid)
+
+    def border(state, best: _RefBest, bound: float) -> None:
+        shape = state.shape
+        nx, ny = shape.divisions_x, shape.divisions_y
+        ring = [
+            BinCoord(i, j)
+            for j in range(ny)
+            for i in range(nx)
+            if i in (0, nx - 1) or j in (0, ny - 1)
+        ]
+        seen: list = []
+        if state.depth == 0 and not state.children:
+            for c in ring:
+                lst = state.filled.at(c)
+                if not any(lst is s for s in seen):
+                    seen.append(lst)
+                    scan(lst, best)
+            return
+        lo_x, lo_y = shape.extents.min.x, shape.extents.min.y
+
+        def gap(v: float, lo: float, k: int, size: float) -> float:
+            a, b = lo + k * size, lo + (k + 1) * size
+            d = a - v if v < a else (v - b if v > b else 0.0)
+            return d * d
+
+        d2s = [
+            gap(q.x, lo_x, c.i, shape.bin_width) + gap(q.y, lo_y, c.j, shape.bin_height)
+            for c in ring
+        ]
+        for k in sorted(range(len(ring)), key=d2s.__getitem__):
+            if d2s[k] > min(bound, best.d2):
+                break
+            lst = state.filled.at(ring[k])
+            if not any(lst is s for s in seen):
+                seen.append(lst)
+                visit(state, lst, best, bound)
+
+    def search(state, best: _RefBest, bound: float) -> bool:
+        c = resolve_bin(q, state.shape)
+        if c is None:
+            border(state, best, bound)
+            return False
+        home = state.filled.at(c)
+        if home in state.children:
+            visit(state, home, best, bound)
+            return False
+        scan(home, best)
+        r = state.shape.bin_rect(c)
+        edge = min(q.x - r.min.x, r.max.x - q.x, q.y - r.min.y, r.max.y - q.y)
+        if best.d2 < edge * edge:
+            return True
+        seen = [home]
+        for n in neighborhood(c, state.shape):
+            lst = state.filled.at(n)
+            if not any(lst is s for s in seen):
+                seen.append(lst)
+                visit(state, lst, best, bound)
+        return False
+
+    best = _RefBest()
+    sc = search(root, best, math.inf)
+    distance = math.sqrt(best.d2)
+    if distance == math.inf:
+        x, y = pos[best.rid]
+        distance = math.hypot(x - q.x, y - q.y)
+    return best.rid, distance, best.cost, sc

@@ -158,6 +158,49 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnrunnableFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--sweep-resolution", "1x8"], "--sweep-resolution: must be at least 2x2"),
+            (["sweep", "--sweep-resolution", "8x1"], "--sweep-resolution: must be at least 2x2"),
+            (["compare", "--sweep-resolution", "1x1"], "--sweep-resolution: must be at least 2x2"),
+            (
+                ["sweep", "--divisions", "1x1", "--hierarchical", "true"],
+                "--hierarchical true needs at least 2 bins per level, got --divisions 1x1",
+            ),
+            (
+                ["verify", "--divisions", "1x1", "--hierarchical", "true"],
+                "--hierarchical true needs at least 2 bins per level, got --divisions 1x1",
+            ),
+            (
+                ["compare", "--divisions", "1x1", "--sweep-resolution", "8x8"],
+                "--hierarchical both needs at least 2 bins per level, got --divisions 1x1",
+            ),
+            (
+                ["compare", "--divisions", "2x2,1x1", "--hierarchical", "true"],
+                "--hierarchical true needs at least 2 bins per level, got --divisions 1x1",
+            ),
+        ],
+    )
+    def test_exit_code_two_before_any_output(self, argv, message, tmp_path, capsys):
+        # each would fail only at run time: after the index was built and,
+        # for compare, after earlier layouts' heatmaps were written
+        out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "run")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", "200", *out])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flat_one_by_one_layout_still_runs(self, tmp_path):
+        argv = ["--n", "50", "--divisions", "1x1", "--hierarchical", "false"]
+        res = ["--sweep-resolution", "4x4"]
+        assert main(["sweep", *argv, *res, "--out", str(tmp_path / "s")]) == 0
+        assert main(["compare", *argv, *res, "--out", str(tmp_path / "c")]) == 0
+        assert main(["verify", *argv, "--queries", "20", "--ranges", "5"]) == 0
+
+
 class TestCompare:
     def test_runs_both_modes_across_divisions(self, tmp_path, capsys):
         out = tmp_path / "cmp"

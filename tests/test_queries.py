@@ -1,6 +1,7 @@
 """Nearest and range query behavior of the flat index (the range tests also
 cover the hierarchical index, which answers ranges from its root level)."""
 import gc
+import inspect
 import json
 import math
 import threading
@@ -21,13 +22,14 @@ from hiergrid import (
     HierGridIndex,
     Point2D,
     PointCollection,
+    QueryResult,
     dist_to_bin_boundary,
     gaussian_points,
     resolve_bin,
     uniform_points,
 )
 
-from brute import grid_and_near_edge_probes
+from brute import grid_and_near_edge_probes, reference_nearest
 
 
 def pc(*pts) -> PointCollection:
@@ -102,6 +104,36 @@ class TestNearestBasics:
         for _ in range(200):
             q = Point2D(*(float(v) for v in rng.uniform(-300, 1300, 2)))
             assert idx.nearest(q).distance >= brute.nearest(q).distance - 1e-12
+
+
+class TestQueryResult:
+    def test_fields_in_order_with_short_circuit_defaulting_false(self):
+        params = inspect.signature(QueryResult).parameters
+        assert list(params) == ["record", "distance", "records_examined", "short_circuit"]
+        assert [p.default for p in params.values()][1:] == [
+            inspect.Parameter.empty, inspect.Parameter.empty, False
+        ]
+        assert QueryResult(4, 2.0, 9).short_circuit is False
+
+    def test_repr_names_every_field(self):
+        r = QueryResult(3, 1.5, 7, True)
+        want = "QueryResult(record=3, distance=1.5, records_examined=7, short_circuit=True)"
+        assert repr(r) == want
+
+    def test_immutable(self):
+        r = QueryResult(3, 1.5, 7)
+        for name in ("record", "distance", "records_examined", "short_circuit"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+
+    def test_equal_results_are_equal_and_hash_the_same(self):
+        a, b = QueryResult(3, 1.5, 7, True), QueryResult(3, 1.5, 7, True)
+        assert a == b and hash(a) == hash(b)
+        assert a != QueryResult(3, 1.5, 7, False)
+        idx = GridIndex(pc((0.0, 0.0), (4.0, 4.0), (1.0, 3.0)), 2, 2)
+        q = Point2D(1.2, 2.9)
+        assert idx.nearest(q) == idx.nearest(q)
+        assert hash(idx.nearest(q)) == hash(idx.nearest(q))
 
 
 class TestShortCircuit:
@@ -455,3 +487,63 @@ class TestRangeWindowEdges:
             want = brute.range(rect)
             for index in indexes:
                 assert index.range_query(rect) == want, (rect, type(index).__name__)
+
+
+@st.composite
+def _search_cases(draw):
+    """A small point set (lattice with ties, collinear run or scattered
+    floats, each with duplicates), a layout from 1x1 to 5x5 that is flat or
+    hierarchical with b in {1, 2, 3}, and queries on records, on the root's
+    bin edges, inside and outside its box."""
+    kind = draw(st.sampled_from(["lattice", "collinear", "scattered"]))
+    n = draw(st.integers(1, 30))
+    if kind == "lattice":
+        pts = [(float(x), float(y)) for x, y in draw(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n)
+        )]
+    elif kind == "collinear":
+        x0, y0 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        sx, sy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]))
+        ts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        pts = [(float(x0 + t * sx), float(y0 + t * sy)) for t in ts]
+    else:
+        coord = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        pts += draw(st.lists(st.sampled_from(pts), max_size=5))  # duplicates
+    dx, dy = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    b = draw(st.sampled_from([None, 1, 2, 3] if dx * dy >= 2 else [None]))
+    src = PointCollection(pts)
+    if b is None:
+        index = GridIndex(src, dx, dy)
+    else:
+        index = HierGridIndex(src, dx, dy, HierConfig(max_bin_records=b))
+    shape = index.shape
+    ext = shape.extents
+    w, h = max(ext.width, 1.0), max(ext.height, 1.0)
+    xs = [ext.min.x + k * shape.bin_width for k in range(dx)] + [ext.max.x]
+    ys = [ext.min.y + k * shape.bin_height for k in range(dy)] + [ext.max.y]
+    xs += [ext.min.x - w, ext.max.x + w, ext.min.x - 0.25 * w, ext.max.x + 3.0]
+    ys += [ext.min.y - h, ext.max.y + h, ext.min.y - 0.25 * h, ext.max.y + 3.0]
+    queries = [Point2D(x, y) for x, y in draw(st.lists(st.sampled_from(pts), max_size=4))]
+    for _ in range(draw(st.integers(8, 16))):
+        queries.append(Point2D(draw(st.sampled_from(xs)), draw(st.sampled_from(ys))))
+    frac = st.floats(-1.0, 2.0)
+    for _ in range(draw(st.integers(0, 6))):
+        queries.append(
+            Point2D(ext.min.x + draw(frac) * ext.width, ext.min.y + draw(frac) * ext.height)
+        )
+    return index, queries
+
+
+class TestSearchMatchesReference:
+    @settings(max_examples=250, deadline=None)
+    @given(_search_cases())
+    def test_record_distance_cost_and_short_circuit_match(self, case):
+        """The level search keeps one running best for the whole query;
+        the reference keeps one per level and passes bounds down. Every
+        answer, cost and short-circuit flag must agree."""
+        index, queries = case
+        for q in queries:
+            got = index.nearest(q)
+            want = reference_nearest(index, q)
+            assert (got.record, got.distance, got.records_examined, got.short_circuit) == want, q
