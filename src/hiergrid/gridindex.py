@@ -1,4 +1,5 @@
-"""Fixed grid spatial index and the one level search both flavours use.
+"""The grid index: one builder for every level, one level search for both
+flavours.
 
 Records are rendered into a grid of id lists (the rendered grid, nulls where
 empty), every empty bin is then redirected to the list holding the record
@@ -6,9 +7,10 @@ nearest its center (the filled grid), and nearest queries scan the query
 point's bin plus, when the home-bin short circuit does not fire, its
 1-neighborhood. A rebuild fetches every record once into two float lists,
 writes them into one positions array a column at a time and builds the root
-level from it. A list may own a child level (the hierarchical index adds
-them); the search delegates to it wherever it would scan that list, so the
-flat index is the case with no children.
+level from it. Every list of more than _max_bin_records records (unbounded
+unless HierGridIndex sets it) gets a child level from the same builder, and
+the search delegates to it wherever it would scan that list, so the flat
+index is the case with no children.
 
 Every level, root and child alike, is built from its own records alone: its
 box is the tight box of their positions, and gap fill takes for each empty
@@ -18,17 +20,17 @@ the bin rendering put it in. Every level groups its records by bin
 
 - An array level (the root, and every child of at least _VECTOR_SCAN_MIN
   records) is binned and grouped in one numpy pass and keeps the grouped
-  records as id, x and y arrays; each list holds views of one slice of
-  them, and (id, x, y) triples as well when it is short.
+  records as id, x and y arrays.
 - A list level (a child of fewer records) is built from its parent list's
-  triples in Python: _axis_bin bins, a stable sort groups, and the level
-  and its lists hold only triples. Below a few tens of records the numpy
-  calls cost more than the work, and most levels of a deep tree are this
-  small (a 2x2 b=1 tree over 5,000 points has 2,888 levels, median 3
-  records).
+  (id, x, y) triples in Python: _axis_bin bins and a stable sort groups.
+  Below a few tens of records the numpy calls cost more than the work, and
+  most levels of a deep tree are this small (a 2x2 b=1 tree over 5,000
+  points has 2,888 levels, median 3 records).
 
-Gap fill loops in Python on a list level with few empty bins x records, and
-takes one numpy argmin otherwise.
+A list keeps its members in one form: triples below _VECTOR_SCAN_MIN
+records, else views of one slice of its level's arrays. Gap fill loops in
+Python on a list level with few empty bins x records, and takes one numpy
+argmin otherwise.
 
 A nearest query keeps one running best across all levels. A level visit
 works on the level's own slots: it finds the home bin with _axis_bin, the
@@ -53,14 +55,17 @@ from .geometry import (
     Point2D,
     _axis_bin,
     axis_bins,
+    default_smallest_dimension,
     neighborhood,  # noqa: F401 - unused here; kept bound for tracers that wrap it
     resolve_bin,
     tight_extents,
+    tight_extents_xy,
 )
 from .sources import EmptySourceError, IndexableSource, RecordId
 
-# Below this list length a plain Python scan beats the numpy call overhead;
-# child levels with fewer records are list levels, which hold no arrays.
+# Below this list length a plain Python scan beats the numpy call overhead:
+# shorter lists hold triples, and child levels with fewer records are list
+# levels, which hold no arrays.
 _VECTOR_SCAN_MIN = 24
 
 # Most distances one gap-fill argmin holds at once (empty bins x records),
@@ -111,22 +116,17 @@ class BinList:
 
     def freeze(self, rows, start: int, end: int) -> None:
         """Cache the members for the query scans from the slice [start, end)
-        of `rows`, the level's records grouped by bin.
-
-        On an array level rows is the level's (ids, xs, ys) arrays: the list
-        keeps views of their slices, and (id, x, y) triples as well when it
-        is shorter than _VECTOR_SCAN_MIN. On a list level rows is a list of
-        triples, and the list keeps only its slice of them.
-        """
-        if isinstance(rows, list):
+        of `rows`, the level's records grouped by bin: its (ids, xs, ys)
+        arrays, or on a list level its triples. A list keeps one form,
+        triples below _VECTOR_SCAN_MIN records and array views otherwise."""
+        if isinstance(rows, list):  # a list level: every list is short
             self.triples = rows[start:end]
             return
         ids, xs, ys = rows
-        self.ids_arr = ids[start:end]
-        self.xs = xs[start:end]
-        self.ys = ys[start:end]
         if end - start < _VECTOR_SCAN_MIN:
-            self.triples = list(zip(self.ids, self.xs.tolist(), self.ys.tolist()))
+            self.triples = list(zip(self.ids, xs[start:end].tolist(), ys[start:end].tolist()))
+        else:
+            self.ids_arr, self.xs, self.ys = ids[start:end], xs[start:end], ys[start:end]
 
 
 class RenderedGrid:
@@ -337,19 +337,19 @@ class _Best:
 class _BuiltState:
     """One grid level; the root level is swapped in atomically.
 
-    Every level of a build shares the root's positions array and holds root
-    record ids. children maps an overfull list to its child level. Only a
-    root level without children holds the concatenated border arrays, which
-    its flat border scan reads; every other level walks its index's border
-    ring through filled.
+    Every level of a build shares the root's positions array and size floor
+    and holds root record ids. children maps an overfull list to its child
+    level. Only a root level without children holds the concatenated border
+    arrays, which its flat border scan reads; every other level walks its
+    index's border ring through filled.
 
     min_x .. ny are the shape's own float and int objects, so the level
-    visit reads its box, bin sizes and divisions without a call. On an array level ids, xs and ys
-    hold the level's records grouped by bin (row-major, ascending id within
-    a bin), and every BinList's arrays are views of one slice of them; a
+    visit reads its box, bin sizes and divisions without a call. On an
+    array level ids, xs and ys hold the level's records grouped by bin
+    (row-major, ascending id within a bin), which its long lists view; a
     list level leaves them None. The root also keeps starts, each bin's
-    offset into them (one more for the end), which range_query reads a
-    window row at a time.
+    offset into them (one more for the end), for range_query and border
+    prep.
     """
 
     __slots__ = (
@@ -382,8 +382,8 @@ class _BuiltState:
         self,
         shape: GridShape,
         positions: np.ndarray,
-        depth: int = 0,
-        size_floor: float | None = None,
+        depth: int,
+        size_floor: float,
     ) -> None:
         self.shape = shape
         self.rendered = RenderedGrid(shape)
@@ -465,6 +465,10 @@ class GridIndex:
     whole built state in one assignment.
     """
 
+    # Lists holding more records than this get a child level; unbounded
+    # here, and set from HierConfig by HierGridIndex.
+    _max_bin_records = sys.maxsize
+
     def __init__(self, source: IndexableSource, divisions_x: int, divisions_y: int) -> None:
         if divisions_x < 1 or divisions_y < 1:
             raise ValueError(f"divisions must be >= 1, got {divisions_x}x{divisions_y}")
@@ -503,6 +507,32 @@ class GridIndex:
     def filled(self) -> FilledGrid:
         return self.ensure_built().filled
 
+    @property
+    def sub_indexes(self) -> list[_BuiltState]:
+        """The root's child levels."""
+        return self.ensure_built().sub_indexes
+
+    def sub_at(self, c: BinCoord) -> Optional[_BuiltState]:
+        """The child level bin c delegates to, if any."""
+        state = self.ensure_built()
+        return state.children.get(state.filled.at(c))
+
+    def leaf_occupancies(self) -> list[tuple[Extents, tuple[RecordId, ...]]]:
+        """(bin rectangle, ascending root record ids) for every occupied
+        leaf bin, i.e. every rendered bin that was not subdivided."""
+        out: list[tuple[Extents, tuple[RecordId, ...]]] = []
+
+        def collect(state: _BuiltState) -> None:
+            for lst, coord in state.rendered.registry.items():
+                child = state.children.get(lst)
+                if child is None:
+                    out.append((state.shape.bin_rect(coord), tuple(lst.ids)))
+                else:
+                    collect(child)
+
+        collect(self.ensure_built())
+        return out
+
     # -- rebuild pipeline ---------------------------------------------------
 
     def ensure_built(self) -> _BuiltState:
@@ -538,9 +568,9 @@ class GridIndex:
         positions = np.empty((n, 2), dtype=np.float64)
         positions[:, 0] = xs
         positions[:, 1] = ys
-        state = self._build_level(
-            positions, range(n), np.arange(n), positions, tight_extents(positions)
-        )
+        extents = tight_extents(positions)
+        floor = default_smallest_dimension(extents)
+        state = self._build_level(positions, range(n), np.arange(n), positions, extents, 0, floor)
         state.version = version
         self._state = state
 
@@ -551,21 +581,17 @@ class GridIndex:
         ids_arr: np.ndarray | None,
         pts,
         extents: Extents,
-        depth: int = 0,
-        size_floor: float | None = None,
+        depth: int,
+        size_floor: float,
     ) -> _BuiltState:
         """Build one grid level over the records `ids` (ascending root ids)
-        within `extents`: render, group by bin, freeze, gap fill, the
-        after-rebuild hook, then border prep.
+        within `extents`: render, group by bin, freeze, gap fill,
+        subdivision, then border prep.
 
-        A root, and a child of at least _VECTOR_SCAN_MIN records, is an
-        array level: `pts` is an (n, 2) array of the records' positions,
-        `ids_arr` holds their ids as an array, and the level keeps its
-        records grouped by bin as id, x and y arrays, which its lists view.
-        A smaller child is a list level: `pts` is its parent list's (id, x,
-        y) triples (`ids_arr` is not read), and the level and its lists hold
-        only triples; numpy runs there only for a gap fill too large for
-        _fill_gaps' Python loop.
+        On an array level `pts` is the records' (n, 2) positions and
+        `ids_arr` their ids as an array. On a list level `pts` is its parent
+        list's triples, `ids_arr` is not read, and numpy runs only for a gap
+        fill too large for _fill_gaps' Python loop.
         """
         shape = GridShape(self.divisions_x, self.divisions_y, extents)
         state = _BuiltState(shape, positions, depth, size_floor)
@@ -595,8 +621,35 @@ class GridIndex:
         return state
 
     def _on_after_rebuilt(self, state: _BuiltState) -> None:
-        """Runs for every level built, before border prep; the hierarchical
-        index subdivides here."""
+        """Give every list of more than _max_bin_records records a child
+        level on its records' tight box, unless the level's bins are not
+        both larger than the size floor or that box equals the level's.
+
+        A list of triples gets a list level over them; a longer one gets an
+        array level over its records gathered from positions. The list then
+        drops its members: queries delegate to the child instead.
+        """
+        floor = state.size_floor
+        if not (state.bin_w > floor and state.bin_h > floor):
+            return
+        cap = self._max_bin_records
+        positions = state.positions
+        for lst in state.rendered.registry:
+            if len(lst) <= cap:
+                continue
+            rows = lst.triples
+            if rows is None:
+                pts = positions[lst.ids_arr]
+                extents = tight_extents(pts)
+            else:
+                _, xs, ys = zip(*rows)
+                pts, extents = rows, tight_extents_xy(xs, ys)
+            if extents == state.shape.extents:
+                continue
+            state.children[lst] = self._build_level(
+                positions, lst.ids, lst.ids_arr, pts, extents, state.depth + 1, floor
+            )
+            lst.ids_arr = lst.xs = lst.ys = lst.triples = None
 
     def _render_records(self, state: _BuiltState, ids, pts):
         """Render each record of `ids` at its position in `pts`; returns each
@@ -667,21 +720,27 @@ class GridIndex:
                 bins[f] = bins[b]
 
     def _prepare_border(self, state: _BuiltState) -> None:
-        """On a root level without children, concatenate the distinct lists
-        of the border ring (row-major) for the flat border scan."""
+        """On a root level without children, concatenate the records of the
+        border ring's distinct lists (row-major) for the flat border scan.
+
+        A list's records are the run of the root's bin-sorted arrays at its
+        rendered bin, which the registry names and starts bounds.
+        """
         if state.depth or state.children:
             return
-        bins = state.filled.flat
-        seen: set[int] = set()
-        lists = []
+        registry, starts, nx = state.rendered.registry, state.starts, state.nx
+        seen = set()
+        runs = []
         for f in self._ring_flat:
-            lst = bins[f]
-            if id(lst) not in seen:
-                seen.add(id(lst))
-                lists.append(lst)
-        state.border_ids = np.concatenate([lst.ids_arr for lst in lists])
-        state.border_xs = np.concatenate([lst.xs for lst in lists])
-        state.border_ys = np.concatenate([lst.ys for lst in lists])
+            lst = state.filled.flat[f]
+            if lst not in seen:
+                seen.add(lst)
+                c = registry[lst]
+                b = c.j * nx + c.i
+                runs.append(slice(starts[b], starts[b + 1]))
+        state.border_ids = np.concatenate([state.ids[r] for r in runs])
+        state.border_xs = np.concatenate([state.xs[r] for r in runs])
+        state.border_ys = np.concatenate([state.ys[r] for r in runs])
 
     # -- queries ------------------------------------------------------------
 
@@ -762,12 +821,15 @@ class GridIndex:
         """Out-of-extents scan of the border ring, each distinct list once.
 
         A level with border arrays (a root without children) scans the ring's
-        records in one vector pass. Every other level visits bins by
-        ascending rectangle distance, ties by (row, column), until none can
-        beat the running best. A bin's squared distance is its column's
-        squared gap plus its row's, with bin edges at min + k * bin_size.
-        The distances are sorted as plain floats, and only a bin the visit
-        reaches is located in the row-major ring, by index.
+        records of every distinct ring list in one vector pass. Every other
+        level visits bins by ascending rectangle distance, ties by (row,
+        column), and stops at the first bin farther than the running best.
+        That stop is not exact: a gap-filled ring bin's list lies in another
+        bin, so a closer record behind a farther ring bin can be missed. A
+        bin's squared distance is its column's squared gap plus its row's,
+        with bin edges at min + k * bin_size. The distances are sorted as
+        plain floats, and only a bin the visit reaches is located in the
+        row-major ring, by index.
         """
         if state.border_ids is not None:
             dx = state.border_xs - q.x

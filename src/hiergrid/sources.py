@@ -153,8 +153,9 @@ class SubGridSource(IndexableSource):
     """Proxy over a shared id list; never copies record payloads.
 
     Local ids are 0..len(ids)-1 and remap through ids[k] into the parent;
-    the proxy reports its parent's version. The hierarchical index builds
-    child levels over one positions array and does not use this class.
+    the proxy reports its parent's version. No index uses it: every level
+    is built over one positions array. The class stays only because
+    perfbench's tracer looks it up by name when it installs.
     """
 
     def __init__(self, parent: IndexableSource, ids: Sequence[RecordId]) -> None:

@@ -150,7 +150,11 @@ class TestRebuild:
                 return super()._render_records(state, ids, pts)
 
             def _fill_gaps(self, state, bins, pts, bin_of):
-                assert all(lst.ids_arr is not None for lst in state.rendered.registry)
+                # each list keeps one member form: these short ones, tuples
+                assert all(
+                    lst.triples is not None and lst.ids_arr is None
+                    for lst in state.rendered.registry
+                )
                 assert bin_of.tolist() == [0, 8]
                 events.append("fill")
                 super()._fill_gaps(state, bins, pts, bin_of)
@@ -159,6 +163,7 @@ class TestRebuild:
                 assert all(b is not None for b in state.filled.flat)
                 assert state.border_ids is None
                 events.append("after")
+                super()._on_after_rebuilt(state)
 
             def _prepare_border(self, state):
                 assert state.filled is not None
@@ -169,6 +174,29 @@ class TestRebuild:
         src = pc((1.0, 1.0), (9.0, 9.0))
         Recorder(src, 3, 3).ensure_built()
         assert events == ["render", "fill", "after", "border"]
+
+
+class TestInspection:
+    def test_flat_index_has_no_children_and_one_leaf_per_rendered_list(self):
+        idx = GridIndex(uniform_points(500, seed=4), 5, 4)
+        assert idx.sub_indexes == []
+        for j in range(4):
+            for i in range(5):
+                assert idx.sub_at(BinCoord(i, j)) is None
+        shape, registry = idx.shape, idx.rendered.registry
+        assert idx.leaf_occupancies() == [
+            (shape.bin_rect(c), tuple(lst.ids)) for lst, c in registry.items()
+        ]
+        # each list keeps one member form, and both forms occur here
+        short = {lst for lst in registry if len(lst) < _VECTOR_SCAN_MIN}
+        assert 0 < len(short) < len(registry)
+        for lst in registry:
+            if lst in short:
+                assert lst.triples is not None
+                assert lst.ids_arr is None and lst.xs is None and lst.ys is None
+            else:
+                assert lst.triples is None
+                assert lst.ids_arr.tolist() == lst.ids
 
 
 class TestSourceContract:

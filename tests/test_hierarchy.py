@@ -183,14 +183,18 @@ class TestLevels:
             list_level = state.depth > 0 and len(members) < 24
             assert (state.ids is None) == list_level
             for lst in state.rendered.registry:
-                if lst in state.children:
+                forms = (lst.triples, lst.ids_arr, lst.xs, lst.ys)
+                if lst in state.children:  # queries delegate; no members kept
+                    assert forms == (None,) * 4
                     continue
+                # one member form: tuples below 24 records, array views otherwise
+                assert (lst.triples is None) != (lst.ids_arr is None), (name, state.depth)
                 expected = [(rid, *state.positions[rid].tolist()) for rid in lst.ids]
                 if lst.triples is None:  # a long list on an array level
                     assert not list_level and len(lst) >= 24
                     got = list(zip(lst.ids_arr.tolist(), lst.xs.tolist(), lst.ys.tolist()))
                 else:
-                    assert (lst.ids_arr is None) == list_level
+                    assert len(lst) < 24 and lst.xs is None and lst.ys is None
                     got = lst.triples
                 assert got == expected, (name, state.depth)
 
@@ -211,8 +215,17 @@ class TestLevels:
             assert state.border_ids is None
             assert state.border_xs is None and state.border_ys is None
         unsplit = HierGridIndex(uniform_points(2000, seed=8), 6, 4, HierConfig(2000))
-        assert unsplit.ensure_built().children == {}
-        assert len(unsplit.ensure_built().border_ids) > 0
+        flat_root = unsplit.ensure_built()
+        assert flat_root.children == {}
+        # a childless root's border arrays hold its ring's distinct lists,
+        # each record once, at its own position
+        ring_lists = {id(flat_root.filled.at(c)): flat_root.filled.at(c) for c in ring}
+        ring_ids = sorted(rid for lst in ring_lists.values() for rid in lst.ids)
+        assert len(ring_ids) > 0
+        assert sorted(flat_root.border_ids.tolist()) == ring_ids
+        at = flat_root.positions[flat_root.border_ids]
+        assert flat_root.border_xs.tolist() == at[:, 0].tolist()
+        assert flat_root.border_ys.tolist() == at[:, 1].tolist()
 
     def test_child_lists_hold_the_parent_lists_id_objects(self):
         idx = HierGridIndex(gaussian_points(3000, seed=4), 10, 10, HierConfig(max_bin_records=8))

@@ -233,6 +233,23 @@ class TestCostAccounting:
         res = idx.nearest(Point2D(-100.0, 50.0))
         assert res.records_examined <= 60  # identity dedup: each list once
 
+    def test_flat_border_scan_reaches_a_list_behind_a_farther_ring_bin(self):
+        # The flat root scans every distinct ring list. Ring bin (1, 2) is
+        # empty and gap-filled with the list rendered at (1, 1), so its
+        # rectangle (squared distance 146) bounds nothing about record 3
+        # (121.002). A visit by ascending ring-bin distance would stop before
+        # (1, 2), whose 146 exceeds record 0's 143.81, and return record 0.
+        recs = [(0.9, 10.0), (0.0, 0.0), (3.0, 30.0), (1.0001, 15.0), (1.5, 19.99), (0.9, 30.0)]
+        idx = GridIndex(pc(*recs), 3, 3)
+        assert idx.rendered.at(BinCoord(1, 2)) is None
+        assert idx.filled.at(BinCoord(1, 2)) is idx.rendered.at(BinCoord(1, 1))
+        assert idx.filled.at(BinCoord(1, 2)).ids == [3, 4]
+        q = Point2D(-10.0, 15.0)
+        res = idx.nearest(q)
+        want = BruteForceIndex(pc(*recs)).nearest(q)
+        assert (res.record, res.distance) == (want.record, want.distance) == (3, 11.0001)
+        assert res.records_examined == 6
+
 
 class TestRangeQuery:
     def test_full_extents_return_everything(self):
