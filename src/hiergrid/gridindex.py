@@ -15,8 +15,22 @@ index is the case with no children.
 Every level, root and child alike, is built from its own records alone: its
 box is the tight box of their positions, and gap fill takes for each empty
 bin the lowest-id record nearest its center, and that record's list from
-the bin rendering put it in. Every level groups its records by bin
-(row-major, ascending id within a bin), in one of two forms:
+the bin rendering put it in. A child level is therefore a function of its
+list's ids and their positions, the divisions, the bucket size and the
+root's size floor, and a rebuild takes a root child of the previous build
+as it is, whole subtree and all, when nothing it depends on changed:
+
+- the record count is the same (append and remove_at rebuild in full);
+- the root box and size floor have the previous build's bits, so every bin
+  and every stop rule is the same;
+- no record whose row's bits changed (so 0.0 to -0.0 counts) left or
+  entered the child's root bin.
+
+Only the root and the root children over a moved record's old or new bin
+are built again. A fresh index and a root without children compare nothing.
+
+Every level groups its records by bin (row-major, ascending id within a
+bin), in one of two forms:
 
 - An array level (the root, and every child of at least _VECTOR_SCAN_MIN
   records) is binned and grouped in one numpy pass and keeps the grouped
@@ -42,6 +56,7 @@ time, through the root's bin start offsets.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 import threading
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -337,11 +352,14 @@ class _Best:
 class _BuiltState:
     """One grid level; the root level is swapped in atomically.
 
-    Every level of a build shares the root's positions array and size floor
-    and holds root record ids. children maps an overfull list to its child
-    level. Only a root level without children holds the concatenated border
-    arrays, which its flat border scan reads; every other level walks its
-    index's border ring through filled.
+    Every level of a build shares the root's size floor and holds root
+    record ids. Only the root keeps the positions array, so a child level
+    that a later build reuses keeps no older build's array alive. reused,
+    on the root only, maps a flat bin to the (ids, child level) this build
+    took as it was from the previous one. children maps an overfull list to
+    its child level. Only a root level without children holds the border
+    arrays, in ascending id order, which its flat border scan reads; every
+    other level walks its index's border ring through filled.
 
     min_x .. ny are the shape's own float and int objects, so the level
     visit reads its box, bin sizes and divisions without a call. On an
@@ -364,6 +382,7 @@ class _BuiltState:
         "border_xs",
         "border_ys",
         "children",
+        "reused",
         "min_x",
         "min_y",
         "max_x",
@@ -378,17 +397,11 @@ class _BuiltState:
         "starts",
     )
 
-    def __init__(
-        self,
-        shape: GridShape,
-        positions: np.ndarray,
-        depth: int,
-        size_floor: float,
-    ) -> None:
+    def __init__(self, shape: GridShape, depth: int, size_floor: float) -> None:
         self.shape = shape
         self.rendered = RenderedGrid(shape)
         self.filled: FilledGrid | None = None
-        self.positions = positions
+        self.positions: np.ndarray | None = None
         self.depth = depth
         self.version: int | None = None
         self.size_floor = size_floor
@@ -396,6 +409,7 @@ class _BuiltState:
         self.border_xs: np.ndarray | None = None
         self.border_ys: np.ndarray | None = None
         self.children: dict[BinList, _BuiltState] = {}
+        self.reused: dict[int, tuple[list[RecordId], _BuiltState]] | None = None
         ext = shape.extents
         self.min_x, self.min_y = ext.min.x, ext.min.y
         self.max_x, self.max_y = ext.max.x, ext.max.y
@@ -414,6 +428,44 @@ class _BuiltState:
 
 def _clamp(v: int, lo: int, hi: int) -> int:
     return lo if v < lo else hi if v > hi else v
+
+
+def _bits(ext: Extents, floor: float) -> bytes:
+    """A root's box and size floor as bytes, equal only when bit-identical."""
+    return struct.pack("5d", ext.min.x, ext.min.y, ext.max.x, ext.max.y, floor)
+
+
+def _reusable(
+    old: _BuiltState, positions: np.ndarray, extents: Extents, floor: float
+) -> dict[int, tuple[list[RecordId], _BuiltState]]:
+    """The root children of the previous build `old` that a root over
+    `positions`, `extents` and `floor` would build again unchanged, as
+    {flat bin: (the old list's ids, child level)}; `positions` has as many
+    rows as old's.
+
+    Nothing is reusable unless the root box and floor have old's bits: then
+    every record's root bin and every stop rule is the same. A record moved
+    when its row's bits differ, so a move from 0.0 to -0.0 counts. A bin
+    that no moved record left or entered holds the same records at the same
+    bits, so its child level is the one old built.
+    """
+    if _bits(extents, floor) != _bits(old.shape.extents, old.size_floor):
+        return {}
+    before = old.positions
+    rows = np.flatnonzero((positions.view(np.uint64) != before.view(np.uint64)).any(axis=1))
+    at = np.concatenate((before[rows], positions[rows]))
+    nx = old.nx
+    bins = axis_bins(at[:, 1], old.min_y, old.bin_h, old.ny) * nx
+    bins += axis_bins(at[:, 0], old.min_x, old.bin_w, nx)
+    touched = set(bins.tolist())
+    registry = old.rendered.registry
+    out = {}
+    for lst, child in old.children.items():
+        c = registry[lst]
+        flat = c.j * nx + c.i
+        if flat not in touched:
+            out[flat] = (lst.ids, child)
+    return out
 
 
 def _gaps_sq(v: float, lo: float, size: float, n: int) -> list[float]:
@@ -517,6 +569,19 @@ class GridIndex:
         state = self.ensure_built()
         return state.children.get(state.filled.at(c))
 
+    @property
+    def level_counts(self) -> tuple[int, int]:
+        """(levels built, levels reused) by the rebuild that made the current
+        build; the reused levels are the whole subtrees of the root children
+        it took from the previous build."""
+        state = self.ensure_built()
+
+        def count(s: _BuiltState) -> int:
+            return 1 + sum(count(c) for c in s.children.values())
+
+        reused = sum(count(child) for _, child in (state.reused or {}).values())
+        return count(state) - reused, reused
+
     def leaf_occupancies(self) -> list[tuple[Extents, tuple[RecordId, ...]]]:
         """(bin rectangle, ascending root record ids) for every occupied
         leaf bin, i.e. every rendered bin that was not subdivided."""
@@ -547,6 +612,12 @@ class GridIndex:
     def rebuild(self) -> None:
         """Fetch every record once, build the root level and swap it in.
 
+        When this replaces a build with children over as many records, the
+        root box and size floor come out with that build's bits, and a root
+        child's bin holds no moved record (one whose row's bits differ from
+        the previous positions array's), the child level is taken as it is;
+        see _reusable. Everything else is built from the fetched positions.
+
         The root level records the source version read before fetching, so
         a mutation that lands during the rebuild triggers the next one.
         """
@@ -570,31 +641,39 @@ class GridIndex:
         positions[:, 1] = ys
         extents = tight_extents(positions)
         floor = default_smallest_dimension(extents)
-        state = self._build_level(positions, range(n), np.arange(n), positions, extents, 0, floor)
+        old = self._state
+        reused = None
+        if old is not None and old.children and len(old.positions) == n:
+            reused = _reusable(old, positions, extents, floor)
+        state = self._build_level(range(n), np.arange(n), positions, extents, 0, floor, reused)
         state.version = version
         self._state = state
 
     def _build_level(
         self,
-        positions: np.ndarray,
         ids,
         ids_arr: np.ndarray | None,
         pts,
         extents: Extents,
         depth: int,
         size_floor: float,
+        reused: dict[int, tuple[list[RecordId], _BuiltState]] | None = None,
     ) -> _BuiltState:
         """Build one grid level over the records `ids` (ascending root ids)
         within `extents`: render, group by bin, freeze, gap fill,
         subdivision, then border prep.
 
         On an array level `pts` is the records' (n, 2) positions and
-        `ids_arr` their ids as an array. On a list level `pts` is its parent
-        list's triples, `ids_arr` is not read, and numpy runs only for a gap
-        fill too large for _fill_gaps' Python loop.
+        `ids_arr` their ids as an array; the root's `pts` is the positions
+        array, which it keeps, with the child levels `reused` by flat bin.
+        On a list level `pts` is its parent list's triples, `ids_arr` is
+        not read, and numpy runs only for a gap fill too large for
+        _fill_gaps' Python loop.
         """
         shape = GridShape(self.divisions_x, self.divisions_y, extents)
-        state = _BuiltState(shape, positions, depth, size_floor)
+        state = _BuiltState(shape, depth, size_floor)
+        if not depth:
+            state.positions, state.reused = pts, reused
         bin_of, order = self._render_records(state, ids, pts)
         # the records grouped by bin, in the order rendering sorted them
         if isinstance(pts, list):
@@ -625,30 +704,36 @@ class GridIndex:
         level on its records' tight box, unless the level's bins are not
         both larger than the size floor or that box equals the level's.
 
-        A list of triples gets a list level over them; a longer one gets an
-        array level over its records gathered from positions. The list then
-        drops its members: queries delegate to the child instead.
+        A list whose bin the root reuses takes the previous build's child
+        and ids list. Otherwise a list of triples gets a list level over
+        them, and a longer one an array level over its own (x, y) members.
+        The list then drops its members: queries delegate to the child
+        instead.
         """
         floor = state.size_floor
         if not (state.bin_w > floor and state.bin_h > floor):
             return
         cap = self._max_bin_records
-        positions = state.positions
-        for lst in state.rendered.registry:
+        reused, nx = state.reused, state.nx
+        for lst, c in state.rendered.registry.items():
             if len(lst) <= cap:
                 continue
-            rows = lst.triples
-            if rows is None:
-                pts = positions[lst.ids_arr]
-                extents = tight_extents(pts)
+            kept = reused.get(c.j * nx + c.i) if reused else None
+            if kept is not None:
+                lst.ids, state.children[lst] = kept
             else:
-                _, xs, ys = zip(*rows)
-                pts, extents = rows, tight_extents_xy(xs, ys)
-            if extents == state.shape.extents:
-                continue
-            state.children[lst] = self._build_level(
-                positions, lst.ids, lst.ids_arr, pts, extents, state.depth + 1, floor
-            )
+                rows = lst.triples
+                if rows is None:
+                    pts = np.column_stack((lst.xs, lst.ys))
+                    extents = tight_extents(pts)
+                else:
+                    _, xs, ys = zip(*rows)
+                    pts, extents = rows, tight_extents_xy(xs, ys)
+                if extents == state.shape.extents:
+                    continue
+                state.children[lst] = self._build_level(
+                    lst.ids, lst.ids_arr, pts, extents, state.depth + 1, floor
+                )
             lst.ids_arr = lst.xs = lst.ys = lst.triples = None
 
     def _render_records(self, state: _BuiltState, ids, pts):
@@ -720,11 +805,13 @@ class GridIndex:
                 bins[f] = bins[b]
 
     def _prepare_border(self, state: _BuiltState) -> None:
-        """On a root level without children, concatenate the records of the
-        border ring's distinct lists (row-major) for the flat border scan.
+        """On a root level without children, gather the records of the
+        border ring's distinct lists in ascending id order for the flat
+        border scan.
 
-        A list's records are the run of the root's bin-sorted arrays at its
-        rendered bin, which the registry names and starts bounds.
+        A list's ids are the run of the root's bin-sorted ids at its
+        rendered bin, which the registry names and starts bounds; their
+        coordinates are gathered from the positions array.
         """
         if state.depth or state.children:
             return
@@ -738,9 +825,10 @@ class GridIndex:
                 c = registry[lst]
                 b = c.j * nx + c.i
                 runs.append(slice(starts[b], starts[b + 1]))
-        state.border_ids = np.concatenate([state.ids[r] for r in runs])
-        state.border_xs = np.concatenate([state.xs[r] for r in runs])
-        state.border_ys = np.concatenate([state.ys[r] for r in runs])
+        ids = np.sort(np.concatenate([state.ids[r] for r in runs]))
+        state.border_ids, state.border_xs, state.border_ys = (
+            ids, state.positions[ids, 0], state.positions[ids, 1]
+        )
 
     # -- queries ------------------------------------------------------------
 
@@ -821,7 +909,8 @@ class GridIndex:
         """Out-of-extents scan of the border ring, each distinct list once.
 
         A level with border arrays (a root without children) scans the ring's
-        records of every distinct ring list in one vector pass. Every other
+        records of every distinct ring list in one vector pass; they ascend
+        by id, so the first minimum is the lowest-id one. Every other
         level visits bins by ascending rectangle distance, ties by (row,
         column), and stops at the first bin farther than the running best.
         That stop is not exact: a gap-filled ring bin's list lies in another
@@ -836,8 +925,8 @@ class GridIndex:
             dy = state.border_ys - q.y
             d2 = dx * dx + dy * dy
             best.cost += len(d2)
-            m = float(d2.min())
-            best.offer(m, int(state.border_ids[d2 == m].min()))  # ties: lowest id
+            k = int(d2.argmin())
+            best.offer(float(d2[k]), int(state.border_ids[k]))
             return
         qx, qy = q.x, q.y
         ddx = _gaps_sq(qx, state.min_x, state.bin_w, state.nx)

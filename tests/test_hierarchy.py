@@ -144,7 +144,8 @@ class TestLevels:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_gap_fill_takes_lowest_id_nearest_record_on_every_level(self):
         for name in TREES:
-            all_levels = levels(tree(name).ensure_built())
+            root = tree(name).ensure_built()
+            all_levels = levels(root)
             assert len(all_levels) > 20
             for state in all_levels:
                 shape = state.shape
@@ -156,7 +157,7 @@ class TestLevels:
                     center = bin_center(c, shape)
                     d2s = {}
                     for rid in members:
-                        x, y = state.positions[rid].tolist()
+                        x, y = root.positions[rid].tolist()
                         dx = x - center.x
                         dy = y - center.y
                         d2s[rid] = dx * dx + dy * dy
@@ -168,14 +169,15 @@ class TestLevels:
     @pytest.mark.parametrize("name", TREES)
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_every_level_renders_as_render_point_and_freezes_its_members(self, name):
-        all_levels = levels(tree(name).ensure_built())
+        root = tree(name).ensure_built()
+        all_levels = levels(root)
         assert any(state.ids is None for state in all_levels)  # list levels ran
         for state in all_levels:
             members = sorted(rid for lst in state.rendered.registry for rid in lst.ids)
             # registry order and ids equal a render_point loop in id order
             grid = RenderedGrid(state.shape)
             for rid in members:
-                grid.render_point(rid, Point2D(*state.positions[rid].tolist()))
+                grid.render_point(rid, Point2D(*root.positions[rid].tolist()))
             assert [(c, lst.ids) for lst, c in state.rendered.registry.items()] == [
                 (c, lst.ids) for lst, c in grid.registry.items()
             ]
@@ -189,7 +191,7 @@ class TestLevels:
                     continue
                 # one member form: tuples below 24 records, array views otherwise
                 assert (lst.triples is None) != (lst.ids_arr is None), (name, state.depth)
-                expected = [(rid, *state.positions[rid].tolist()) for rid in lst.ids]
+                expected = [(rid, *root.positions[rid].tolist()) for rid in lst.ids]
                 if lst.triples is None:  # a long list on an array level
                     assert not list_level and len(lst) >= 24
                     got = list(zip(lst.ids_arr.tolist(), lst.xs.tolist(), lst.ys.tolist()))
@@ -223,6 +225,8 @@ class TestLevels:
         ring_ids = sorted(rid for lst in ring_lists.values() for rid in lst.ids)
         assert len(ring_ids) > 0
         assert sorted(flat_root.border_ids.tolist()) == ring_ids
+        # in strictly ascending id order: the scan's first minimum is the lowest id
+        assert (np.diff(flat_root.border_ids) > 0).all()
         at = flat_root.positions[flat_root.border_ids]
         assert flat_root.border_xs.tolist() == at[:, 0].tolist()
         assert flat_root.border_ys.tolist() == at[:, 1].tolist()
