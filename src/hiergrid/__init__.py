@@ -11,11 +11,9 @@ from .geometry import (
     Extents,
     GridShape,
     Point2D,
-    bin_center,
     bounding_extents,
     default_smallest_dimension,
     dist_sq,
-    dist_to_bin_boundary,
     neighborhood,
     resolve_bin,
 )
@@ -85,12 +83,10 @@ __all__ = [
     "RenderedGrid",
     "SubGridSource",
     "SweepStats",
-    "bin_center",
     "bounding_extents",
     "colorize",
     "default_smallest_dimension",
     "dist_sq",
-    "dist_to_bin_boundary",
     "gaussian_points",
     "load_points",
     "match_battery",

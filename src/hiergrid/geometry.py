@@ -8,11 +8,17 @@ roots are taken only at API boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+# The coordinate domain: every |x| and |y| is at most this, so the span
+# between any two coordinates, and so every box's width and height, is
+# finite.
+COORD_MAX = sys.float_info.max / 2
 
 # Absolute inflation applied per extents axis narrower than it, so bin sizes
 # are never zero (records identical, collinear or a subnormal distance apart).
@@ -183,33 +189,10 @@ def neighborhood(c: BinCoord, shape: GridShape) -> list[BinCoord]:
     return out
 
 
-def bin_center(c: BinCoord, shape: GridShape) -> Point2D:
-    ext = shape.extents
-    return Point2D(
-        ext.min.x + (c.i + 0.5) * shape.bin_width,
-        ext.min.y + (c.j + 0.5) * shape.bin_height,
-    )
-
-
 def dist_sq(a: Point2D, b: Point2D) -> float:
     dx = a.x - b.x
     dy = a.y - b.y
     return dx * dx + dy * dy
-
-
-def dist_to_bin_boundary(p: Point2D, c: BinCoord, shape: GridShape) -> float:
-    """Minimum perpendicular distance from p to the four edges of bin c,
-    with bin_rect's edges computed in place."""
-    ext = shape.extents
-    bw, bh = shape.bin_width, shape.bin_height
-    x0 = ext.min.x + c.i * bw
-    y0 = ext.min.y + c.j * bh
-    x1 = ext.max.x if c.i == shape.divisions_x - 1 else ext.min.x + (c.i + 1) * bw
-    y1 = ext.max.y if c.j == shape.divisions_y - 1 else ext.min.y + (c.j + 1) * bh
-    px, py = p.x, p.y
-    if not (x0 <= px <= x1 and y0 <= py <= y1):
-        raise ValueError(f"point {p} is not inside bin {c}")
-    return min(px - x0, x1 - px, py - y0, y1 - py)
 
 
 def default_smallest_dimension(extents: Extents) -> float:
@@ -227,26 +210,47 @@ def tight_extents(pts: np.ndarray) -> Extents:
     """Tight bounding box of an (n, 2) array as Python floats, inflated on
     degenerate axes: the box every grid level takes over its own records.
 
-    Raises ValueError for no points and, through Point2D, for a NaN or
-    infinite coordinate.
+    Raises ValueError for no points, for a box whose width or height is not
+    finite (coordinates outside COORD_MAX) and, through Point2D, for a NaN
+    or infinite coordinate.
     """
     if len(pts) == 0:
         raise ValueError("bounding box of no points")
     # Python floats: a level's query arithmetic reads these, and numpy
     # scalars would make every operation there a numpy call
-    lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-    return Extents(Point2D(*lo), Point2D(*hi)).inflated_if_degenerate()
+    (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    ext = Extents(Point2D(x0, y0), Point2D(x1, y1))
+    if not (math.isfinite(ext.width) and math.isfinite(ext.height)):
+        raise ValueError(f"the span of {ext} overflows: coordinates must be within +-COORD_MAX")
+    return ext.inflated_if_degenerate()
 
 
-def tight_extents_xy(xs: Sequence[float], ys: Sequence[float]) -> Extents:
-    """tight_extents of finite coordinates given as Python floats, without
-    building an array: for a few records the numpy calls cost more than the
-    work. Of equal extremes it keeps the last, as tight_extents' row-by-row
-    numpy reduction does, so -0.0 and 0.0 give the same bits either way."""
-    xs, ys = xs[::-1], ys[::-1]
-    return Extents(
-        Point2D(min(xs), min(ys)), Point2D(max(xs), max(ys))
-    ).inflated_if_degenerate()
+def segment_extents(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> list[Extents]:
+    """tight_extents of every segment [offsets[k], offsets[k + 1]) of the
+    points (xs, ys) at once; offsets ascend from 0 to len(xs) and no segment
+    is empty. The segments lie within one box that tight_extents accepted.
+
+    Of equal extremes tight_extents' row-by-row reduction keeps the last, so
+    a box edge at zero takes the sign of its segment's last zero on that
+    axis; np.minimum.reduceat does not always, so those edges are set from
+    the last zero.
+    """
+    starts = offsets[:-1]
+    if not len(starts):
+        return []
+    edges = []
+    for v in (xs, ys):
+        last_zero = np.maximum.reduceat(np.where(v == 0.0, np.arange(len(v)), -1), starts)
+        for reduce in (np.minimum.reduceat, np.maximum.reduceat):
+            edge = reduce(v, starts)
+            at_zero = edge == 0.0
+            edge[at_zero] = v[last_zero[at_zero]]
+            edges.append(edge.tolist())
+    x0s, x1s, y0s, y1s = edges
+    return [
+        Extents(Point2D(x0, y0), Point2D(x1, y1)).inflated_if_degenerate()
+        for x0, y0, x1, y1 in zip(x0s, y0s, x1s, y1s)
+    ]
 
 
 def bounding_extents(points) -> Extents:

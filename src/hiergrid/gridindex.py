@@ -5,20 +5,33 @@ Records are rendered into a grid of id lists (the rendered grid, nulls where
 empty), every empty bin is then redirected to the list holding the record
 nearest its center (the filled grid), and nearest queries scan the query
 point's bin plus, when the home-bin short circuit does not fire, its
-1-neighborhood. A rebuild fetches every record once into two float lists,
-writes them into one positions array a column at a time and builds the root
-level from it. Every list of more than _max_bin_records records (unbounded
-unless HierGridIndex sets it) gets a child level from the same builder, and
+1-neighborhood. Every list of more than _max_bin_records records (unbounded
+unless HierGridIndex sets it) gets a child level over its own records, and
 the search delegates to it wherever it would scan that list, so the flat
 index is the case with no children.
 
-Every level, root and child alike, is built from its own records alone: its
-box is the tight box of their positions, and gap fill takes for each empty
-bin the lowest-id record nearest its center, and that record's list from
-the bin rendering put it in. A child level is therefore a function of its
-list's ids and their positions, the divisions, the bucket size and the
-root's size floor, and a rebuild takes a root child of the previous build
-as it is, whole subtree and all, when nothing it depends on changed:
+A rebuild fetches every record once into a positions array and builds the
+tree one depth at a time. A depth's input is the records of all its levels
+(the root alone at depth 0), concatenated level by level, ascending id
+within each level. One pass over it:
+
+- bins every record on its own level with axis_bins, render_point's
+  arithmetic;
+- groups the records by (level, bin) with one stable sort: each run is one
+  bin's list, ascending id within it, and each level registers its lists in
+  first-seen id order, as render_point creates them;
+- freezes each list's members: triples below _VECTOR_SCAN_MIN records, else
+  id, x and y arrays (views of the root's grouped arrays on the root, copies
+  on a child level);
+- gap fills every empty bin of every level at once;
+- picks with masks the lists that get a child level. Their records, in the
+  same order, are the next depth's input, and their boxes come from one
+  segmented reduction with tight_extents' bits.
+
+A level is thus a function of its list's ids and their positions, the
+divisions, the bucket size and the root's size floor, and a rebuild takes a
+root child of the previous build as it is, whole subtree and all, when
+nothing it depends on changed:
 
 - the record count is the same (append and remove_at rebuild in full);
 - the root box and size floor have the previous build's bits, so every bin
@@ -26,25 +39,8 @@ as it is, whole subtree and all, when nothing it depends on changed:
 - no record whose row's bits changed (so 0.0 to -0.0 counts) left or
   entered the child's root bin.
 
-Only the root and the root children over a moved record's old or new bin
-are built again. A fresh index and a root without children compare nothing.
-
-Every level groups its records by bin (row-major, ascending id within a
-bin), in one of two forms:
-
-- An array level (the root, and every child of at least _VECTOR_SCAN_MIN
-  records) is binned and grouped in one numpy pass and keeps the grouped
-  records as id, x and y arrays.
-- A list level (a child of fewer records) is built from its parent list's
-  (id, x, y) triples in Python: _axis_bin bins and a stable sort groups.
-  Below a few tens of records the numpy calls cost more than the work, and
-  most levels of a deep tree are this small (a 2x2 b=1 tree over 5,000
-  points has 2,888 levels, median 3 records).
-
-A list keeps its members in one form: triples below _VECTOR_SCAN_MIN
-records, else views of one slice of its level's arrays. Gap fill loops in
-Python on a list level with few empty bins x records, and takes one numpy
-argmin otherwise.
+A reused child joins depth 1 already built: its records skip every later
+depth. A fresh index and a root without children compare nothing.
 
 A nearest query keeps one running best across all levels. A level visit
 works on the level's own slots: it finds the home bin with _axis_bin, the
@@ -73,29 +69,18 @@ from .geometry import (
     default_smallest_dimension,
     neighborhood,  # noqa: F401 - unused here; kept bound for tracers that wrap it
     resolve_bin,
+    segment_extents,
     tight_extents,
-    tight_extents_xy,
 )
 from .sources import EmptySourceError, IndexableSource, RecordId
 
-# Below this list length a plain Python scan beats the numpy call overhead:
-# shorter lists hold triples, and child levels with fewer records are list
-# levels, which hold no arrays.
+# Below this list length a plain Python scan beats the numpy call overhead,
+# so shorter lists hold triples.
 _VECTOR_SCAN_MIN = 24
 
-# Most distances one gap-fill argmin holds at once (empty bins x records),
-# which bounds its temporaries to a few tens of MB on any level.
+# Most (empty bin, record) distances one gap-fill block holds at once, which
+# bounds its temporaries to a few tens of MB at any depth.
 _GAP_FILL_BLOCK = 1 << 20
-
-# Most distances (empty bins x records) a list level's gap fill computes in
-# a Python loop; above it one numpy argmin is cheaper. Timed per call, the
-# loop costs about 2 us per empty bin plus 0.15 us per distance and numpy
-# 15-35 us, so they cross between about 70 and 110 distances. The 2x2 list
-# levels of a quad tree need at most 46 unless all records share an x or a
-# y: a tight box leaves at most 2 of 4 bins empty, and a list level has at
-# most 23 records. The 10x10 list levels of a b=8 tree over 20k gaussian
-# points need 819-1,886, so those keep numpy.
-_GAP_FILL_LOOP_MAX = 64
 
 
 class OutsideExtentsError(ValueError):
@@ -114,8 +99,8 @@ class BinList:
 
     __slots__ = ("ids", "ids_arr", "xs", "ys", "triples")
 
-    def __init__(self) -> None:
-        self.ids: list[RecordId] = []
+    def __init__(self, ids: list[RecordId] | None = None) -> None:
+        self.ids: list[RecordId] = [] if ids is None else ids
         self.ids_arr: np.ndarray | None = None
         self.xs: np.ndarray | None = None
         self.ys: np.ndarray | None = None
@@ -129,19 +114,18 @@ class BinList:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def freeze(self, rows, start: int, end: int) -> None:
+    def freeze(self, rows, start: int, end: int, copy: bool) -> None:
         """Cache the members for the query scans from the slice [start, end)
-        of `rows`, the level's records grouped by bin: its (ids, xs, ys)
-        arrays, or on a list level its triples. A list keeps one form,
-        triples below _VECTOR_SCAN_MIN records and array views otherwise."""
-        if isinstance(rows, list):  # a list level: every list is short
-            self.triples = rows[start:end]
-            return
-        ids, xs, ys = rows
+        of `rows`, a depth's records grouped by (level, bin): ids, xs and ys
+        as arrays, then xs and ys as lists. A list below _VECTOR_SCAN_MIN
+        records keeps triples, a longer one the arrays' slices, copied when
+        `copy` is set, on a child level, which keeps no arrays for them to
+        view."""
         if end - start < _VECTOR_SCAN_MIN:
-            self.triples = list(zip(self.ids, xs[start:end].tolist(), ys[start:end].tolist()))
+            self.triples = list(zip(self.ids, rows[3][start:end], rows[4][start:end]))
         else:
-            self.ids_arr, self.xs, self.ys = ids[start:end], xs[start:end], ys[start:end]
+            cut = [a[start:end] for a in rows[:3]]
+            self.ids_arr, self.xs, self.ys = (a.copy() for a in cut) if copy else cut
 
 
 class RenderedGrid:
@@ -179,46 +163,10 @@ class RenderedGrid:
         return c.j * self.shape.divisions_x + c.i
 
     def render_points(self, ids: Sequence[RecordId], pts: np.ndarray) -> np.ndarray:
-        """render_point for every (ids[k], pts[k]) at once, into a grid with
-        nothing rendered yet; ids ascend and are unique. Returns each
+        """render_point for every (ids[k], pts[k]) in order; returns each
         record's flat bin index."""
-        return self._render_sorted(ids, pts)[0]
-
-    def _render_sorted(
-        self, ids: Sequence[RecordId], pts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """render_points, also returning the stable sort of the records by
-        bin that grouped them: row-major bins, ascending id within a bin.
-
-        Bins are assigned in numpy, lists are created in first-seen id
-        order, as the loop creates them, and each list holds the caller's
-        own id objects.
-        """
-        shape = self.shape
-        ext = shape.extents
-        xs, ys = pts[:, 0], pts[:, 1]
-        # written as a negated inside test so NaN, which fails every
-        # comparison, counts as outside
-        outside = ~((xs >= ext.min.x) & (xs <= ext.max.x) & (ys >= ext.min.y) & (ys <= ext.max.y))
-        if outside.any():
-            p = Point2D(*pts[int(outside.argmax())].tolist())
-            raise OutsideExtentsError(f"point {p} outside grid extents")
-        nx = shape.divisions_x
-        flat = axis_bins(ys, ext.min.y, shape.bin_height, shape.divisions_y) * nx
-        flat += axis_bins(xs, ext.min.x, shape.bin_width, nx)
-        order = np.argsort(flat, kind="stable")
-        grouped = flat[order]
-        # cuts[r]:cuts[r + 1] is the r-th run of equal bins in sort order
-        cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(order)]
-        run_bins = grouped[cuts[:-1]].tolist()
-        firsts = order[cuts[:-1]].tolist()
-        members = [ids[k] for k in order.tolist()]
-        # a stable sort keeps each bin's positions ascending, so ordering the
-        # runs by their first position gives first-seen order
-        for r in sorted(range(len(firsts)), key=firsts.__getitem__):
-            b = run_bins[r]
-            self._list_at(b % nx, b // nx).ids.extend(members[cuts[r] : cuts[r + 1]])
-        return flat, order
+        flats = [self.render_point(rid, Point2D(x, y)) for rid, (x, y) in zip(ids, pts.tolist())]
+        return np.array(flats, dtype=np.intp)
 
     def render_line(self, rid: RecordId, a: Point2D, b: Point2D) -> None:
         """Add rid to every bin the closed segment [a, b] touches.
@@ -362,12 +310,11 @@ class _BuiltState:
     other level walks its index's border ring through filled.
 
     min_x .. ny are the shape's own float and int objects, so the level
-    visit reads its box, bin sizes and divisions without a call. On an
-    array level ids, xs and ys hold the level's records grouped by bin
-    (row-major, ascending id within a bin), which its long lists view; a
-    list level leaves them None. The root also keeps starts, each bin's
-    offset into them (one more for the end), for range_query and border
-    prep.
+    visit reads its box, bin sizes and divisions without a call. On the root
+    only, ids, xs and ys hold the records grouped by bin (row-major,
+    ascending id within a bin), which its long lists view, and starts holds
+    each bin's offset into them (one more for the end), for range_query and
+    border prep.
     """
 
     __slots__ = (
@@ -424,6 +371,30 @@ class _BuiltState:
     def sub_indexes(self) -> list["_BuiltState"]:
         """Child levels, in rendered-registry order."""
         return list(self.children.values())
+
+
+class _Depth:
+    """One depth of a build: its levels and their records, concatenated
+    level by level (ascending root id within each); offsets[k] is level k's
+    first record, with one more for the end.
+
+    Rendering adds the per-level box arrays (min_x, min_y, bin_w, bin_h),
+    each record's flat bin on its level, the records grouped by (level, bin)
+    as rows (ids, xs, ys), and per run of one (level, bin): its start in
+    rows (cuts, one more for the end), its key level * bins + bin, the input
+    position of its first record, and its BinList. grid holds the lists by
+    key, None where a bin is empty.
+    """
+
+    __slots__ = (
+        "levels", "offsets", "ids", "xs", "ys", "box", "flat", "rows",
+        "cuts", "keys", "firsts", "lists", "grid",
+    )
+
+    def __init__(self, levels, offsets, ids, xs, ys) -> None:
+        self.levels: list[_BuiltState] = levels
+        self.offsets: np.ndarray = offsets
+        self.ids, self.xs, self.ys = ids, xs, ys
 
 
 def _clamp(v: int, lo: int, hi: int) -> int:
@@ -610,7 +581,8 @@ class GridIndex:
             return self._state
 
     def rebuild(self) -> None:
-        """Fetch every record once, build the root level and swap it in.
+        """Fetch every record once, build the tree one depth at a time and
+        swap its root in.
 
         When this replaces a build with children over as many records, the
         root box and size floor come out with that build's bits, and a root
@@ -641,168 +613,170 @@ class GridIndex:
         positions[:, 1] = ys
         extents = tight_extents(positions)
         floor = default_smallest_dimension(extents)
+        root = _BuiltState(GridShape(self.divisions_x, self.divisions_y, extents), 0, floor)
+        root.positions = positions
         old = self._state
-        reused = None
         if old is not None and old.children and len(old.positions) == n:
-            reused = _reusable(old, positions, extents, floor)
-        state = self._build_level(range(n), np.arange(n), positions, extents, 0, floor, reused)
-        state.version = version
-        self._state = state
+            root.reused = _reusable(old, positions, extents, floor)
+        # one int object per record, which the lists of every depth share
+        ints = np.arange(n).astype(object)
+        depth = _Depth([root], np.array([0, n]), np.arange(n), positions[:, 0], positions[:, 1])
+        while depth is not None:
+            self._render_records(depth, ints)
+            ids, xs, ys = depth.rows
+            cuts, copy = depth.cuts, depth.levels[0] is not root
+            # the short lists' triples take Python floats, converted once
+            short = np.diff(cuts).min() < _VECTOR_SCAN_MIN
+            rows = (ids, xs, ys, *((xs.tolist(), ys.tolist()) if short else ((), ())))
+            for lst, start, end in zip(depth.lists, cuts, cuts[1:]):
+                lst.freeze(rows, start, end, copy)
+            self._fill_gaps(depth)
+            depth = self._on_after_rebuilt(depth)
+        self._prepare_border(root)
+        root.version = version
+        self._state = root
 
-    def _build_level(
-        self,
-        ids,
-        ids_arr: np.ndarray | None,
-        pts,
-        extents: Extents,
-        depth: int,
-        size_floor: float,
-        reused: dict[int, tuple[list[RecordId], _BuiltState]] | None = None,
-    ) -> _BuiltState:
-        """Build one grid level over the records `ids` (ascending root ids)
-        within `extents`: render, group by bin, freeze, gap fill,
-        subdivision, then border prep.
+    def _render_records(self, depth: _Depth, ints: np.ndarray) -> None:
+        """Render every record of the depth on its own level.
 
-        On an array level `pts` is the records' (n, 2) positions and
-        `ids_arr` their ids as an array; the root's `pts` is the positions
-        array, which it keeps, with the child levels `reused` by flat bin.
-        On a list level `pts` is its parent list's triples, `ids_arr` is
-        not read, and numpy runs only for a gap fill too large for
-        _fill_gaps' Python loop.
+        Bins come from axis_bins on each level's box; one stable sort on
+        (level, bin) groups the records, so every run is one bin's list,
+        ascending id within it. A level's lists are registered in the order
+        of their first records, which is render_point's first-seen order,
+        and hold the ids as the objects in `ints`. The root keeps the grouped
+        arrays and each bin's offset into them.
         """
-        shape = GridShape(self.divisions_x, self.divisions_y, extents)
-        state = _BuiltState(shape, depth, size_floor)
-        if not depth:
-            state.positions, state.reused = pts, reused
-        bin_of, order = self._render_records(state, ids, pts)
-        # the records grouped by bin, in the order rendering sorted them
-        if isinstance(pts, list):
-            rows = [pts[k] for k in order]
-        else:
-            state.ids, state.xs, state.ys = ids_arr[order], pts[order, 0], pts[order, 1]
-            rows = (state.ids, state.xs, state.ys)
-        # every bin's records are one run of rows, bins in row-major order
-        bins = state.rendered._bins
-        starts = [0] * (len(bins) + 1)
-        end = 0
-        for f, lst in enumerate(bins, 1):
-            if lst is not None:
-                start, end = end, end + len(lst.ids)
-                lst.freeze(rows, start, end)
-            starts[f] = end
-        if depth == 0:
-            state.starts = starts
-        filled_bins = list(bins)  # same identities
-        self._fill_gaps(state, filled_bins, pts, bin_of)
-        state.filled = FilledGrid(shape, filled_bins)
-        self._on_after_rebuilt(state)
-        self._prepare_border(state)
-        return state
+        levels = depth.levels
+        nx, ny = self.divisions_x, self.divisions_y
+        nb = nx * ny
+        level_of = np.repeat(np.arange(len(levels)), np.diff(depth.offsets))
+        depth.box = [
+            np.array([getattr(lv, name) for lv in levels])
+            for name in ("min_x", "min_y", "bin_w", "bin_h")
+        ]
+        x0, y0, bw, bh = (v[level_of] for v in depth.box)
+        depth.flat = flat = axis_bins(depth.ys, y0, bh, ny) * nx
+        flat += axis_bins(depth.xs, x0, bw, nx)
+        grouped = level_of * nb + flat
+        order = np.argsort(grouped, kind="stable")
+        grouped = grouped[order]
+        heads = np.flatnonzero(np.diff(grouped, prepend=-1))
+        depth.cuts = cuts = [*heads.tolist(), len(order)]
+        depth.keys, depth.firsts = grouped[heads], order[heads]
+        depth.rows = rows = (depth.ids[order], depth.xs[order], depth.ys[order])
+        members = ints[rows[0]].tolist()
+        depth.lists = lists = [BinList(members[s:e]) for s, e in zip(cuts, cuts[1:])]
+        depth.grid = grid = np.empty(len(levels) * nb, dtype=object)
+        grid[depth.keys] = np.fromiter(lists, dtype=object, count=len(lists))
+        for k, level in enumerate(levels):
+            level.rendered._bins = grid[k * nb : (k + 1) * nb].tolist()
+        keys = depth.keys.tolist()
+        for r in np.argsort(depth.firsts).tolist():
+            k, b = divmod(keys[r], nb)
+            levels[k].rendered.registry[lists[r]] = BinCoord(b % nx, b // nx)
+        root = levels[0]
+        if not root.depth:
+            root.ids, root.xs, root.ys = rows
+            root.starts = np.searchsorted(grouped, np.arange(nb + 1)).tolist()
 
-    def _on_after_rebuilt(self, state: _BuiltState) -> None:
+    def _fill_gaps(self, depth: _Depth) -> None:
+        """Point every empty bin of every level at the list holding the
+        level's record nearest the bin's center, ties to the lowest id.
+
+        Empty bins whose levels hold equally many records, c, are stacked
+        into one matrix of their levels' records, at most _GAP_FILL_BLOCK
+        distances (or one row of c) at a time, and each row's first minimum
+        wins: a level's records ascend by id, so that is the lowest-id
+        nearest record. Its list is the one in the bin rendering put it in.
+        A center is min + (k + 0.5) * bin size on each axis, and squared
+        distances use _scan_list's arithmetic, so ties resolve as a query
+        scan would.
+        """
+        nx = self.divisions_x
+        nb = nx * self.divisions_y
+        grid = depth.grid
+        occupied = np.zeros(len(grid), dtype=bool)
+        occupied[depth.keys] = True
+        empty = np.flatnonzero(~occupied)
+        level, b = np.divmod(empty, nb)
+        x0, y0, bw, bh = depth.box
+        cxs = x0[level] + (b % nx + 0.5) * bw[level]
+        cys = y0[level] + (b // nx + 0.5) * bh[level]
+        first = depth.offsets[level]
+        count = depth.offsets[level + 1] - first
+        by_count = np.argsort(count, kind="stable")
+        heads = np.flatnonzero(np.diff(count[by_count], prepend=-1)).tolist()
+        owners = np.empty(len(empty), dtype=np.intp)
+        for lo, hi in zip(heads, [*heads[1:], len(empty)]):
+            c = int(count[by_count[lo]])
+            step = max(1, _GAP_FILL_BLOCK // c)
+            for k in range(lo, hi, step):
+                rows = by_count[k : min(k + step, hi)]
+                starts = first[rows]
+                # rows of one count ascend by level, so equal first and last
+                # starts mean one level: its records broadcast against every
+                # row, without a gather
+                if starts[0] == starts[-1]:
+                    rec = slice(starts[0], starts[0] + c)
+                else:
+                    rec = starts[:, None] + np.arange(c)
+                dx = depth.xs[rec] - cxs[rows, None]
+                dy = depth.ys[rec] - cys[rows, None]
+                d2 = dx * dx + dy * dy
+                owners[rows] = starts + d2.argmin(axis=1)
+        filled = grid.copy()
+        filled[empty] = grid[level * nb + depth.flat[owners]]
+        for k, lv in enumerate(depth.levels):
+            lv.filled = FilledGrid(lv.shape, filled[k * nb : (k + 1) * nb].tolist())
+
+    def _on_after_rebuilt(self, depth: _Depth) -> _Depth | None:
         """Give every list of more than _max_bin_records records a child
-        level on its records' tight box, unless the level's bins are not
-        both larger than the size floor or that box equals the level's.
+        level on its records' tight box, unless its level's bins are not
+        both larger than the size floor or that box equals its level's, and
+        return the next depth: those lists' records in grouped order, or
+        None when no list got a new child.
 
         A list whose bin the root reuses takes the previous build's child
-        and ids list. Otherwise a list of triples gets a list level over
-        them, and a longer one an array level over its own (x, y) members.
-        The list then drops its members: queries delegate to the child
-        instead.
+        and ids list instead. A list with a child drops its members: queries
+        delegate to the child. A level's children follow its registry order.
         """
-        floor = state.size_floor
-        if not (state.bin_w > floor and state.bin_h > floor):
-            return
-        cap = self._max_bin_records
-        reused, nx = state.reused, state.nx
-        for lst, c in state.rendered.registry.items():
-            if len(lst) <= cap:
-                continue
-            kept = reused.get(c.j * nx + c.i) if reused else None
-            if kept is not None:
-                lst.ids, state.children[lst] = kept
-            else:
-                rows = lst.triples
-                if rows is None:
-                    pts = np.column_stack((lst.xs, lst.ys))
-                    extents = tight_extents(pts)
-                else:
-                    _, xs, ys = zip(*rows)
-                    pts, extents = rows, tight_extents_xy(xs, ys)
-                if extents == state.shape.extents:
-                    continue
-                state.children[lst] = self._build_level(
-                    lst.ids, lst.ids_arr, pts, extents, state.depth + 1, floor
-                )
+        levels, lists, cuts = depth.levels, depth.lists, depth.cuts
+        nb = self.divisions_x * self.divisions_y
+        floor = levels[0].size_floor
+        level_of = depth.keys // nb
+        sizes = np.diff(cuts)
+        fits = np.array([lv.bin_w > floor and lv.bin_h > floor for lv in levels])
+        split = (sizes > self._max_bin_records) & fits[level_of]
+        children: dict[int, _BuiltState] = {}
+        reused = levels[0].reused  # the root's; None on every child level
+        if reused:
+            for r in np.flatnonzero(split).tolist():
+                kept = reused.get(int(depth.keys[r]))
+                if kept is not None:
+                    lists[r].ids, children[r] = kept
+                    split[r] = False
+        runs = np.flatnonzero(split)
+        offsets = np.concatenate(([0], np.cumsum(sizes[runs])))
+        ids, xs, ys = (a[np.repeat(split, sizes)] for a in depth.rows)
+        boxes = segment_extents(xs, ys, offsets)
+        new = []
+        for r, k, box in zip(runs.tolist(), level_of[runs].tolist(), boxes):
+            parent = levels[k]
+            if box != parent.shape.extents:
+                shape = GridShape(parent.nx, parent.ny, box)
+                children[r] = _BuiltState(shape, parent.depth + 1, floor)
+                new.append(r)
+        for r in sorted(children, key=depth.firsts.__getitem__):
+            lst = lists[r]
+            levels[level_of[r]].children[lst] = children[r]
             lst.ids_arr = lst.xs = lst.ys = lst.triples = None
-
-    def _render_records(self, state: _BuiltState, ids, pts):
-        """Render each record of `ids` at its position in `pts`; returns each
-        record's flat bin index and the stable sort of the records by it.
-
-        An array level renders in one numpy pass. A list level loops over
-        its (id, x, y) triples with render_point's arithmetic (_axis_bin on
-        each axis), creating lists in first-seen order as render_point does,
-        and sorts with Python's stable sort.
-        """
-        rendered = state.rendered
-        if not isinstance(pts, list):
-            return rendered._render_sorted(ids, pts)
-        x0, y0, bw, bh, nx, ny = (
-            state.min_x, state.min_y, state.bin_w, state.bin_h, state.nx, state.ny
-        )
-        bins = rendered._bins
-        bin_of = []
-        for rid, x, y in pts:
-            i = _axis_bin(x, x0, bw, nx)
-            j = _axis_bin(y, y0, bh, ny)
-            f = j * nx + i
-            lst = bins[f]
-            if lst is None:
-                lst = rendered._list_at(i, j)
-            lst.ids.append(rid)  # ids ascend and are unique
-            bin_of.append(f)
-        return bin_of, sorted(range(len(bin_of)), key=bin_of.__getitem__)
-
-    def _fill_gaps(self, state: _BuiltState, bins: list, pts, bin_of) -> None:
-        """Point every empty bin at the list holding the record nearest its
-        center, ties to the lowest id.
-
-        The winner is the first minimum over the level's records `pts`, in
-        ascending id order, so it is the lowest-id nearest record; its list
-        is the one in its rendered bin, bin_of. A list level with at most
-        _GAP_FILL_LOOP_MAX (empty bins x records) distances loops in Python;
-        every other level takes one numpy argmin per block of empty bins.
-        Centers and squared distances use the arithmetic of bin_center and
-        _scan_list either way, so ties resolve as a query scan would.
-        """
-        empty = [flat for flat, lst in enumerate(bins) if lst is None]
-        if not empty:
-            return
-        x0, y0, bw, bh, nx = state.min_x, state.min_y, state.bin_w, state.bin_h, state.nx
-        if isinstance(pts, list):
-            if len(empty) * len(pts) <= _GAP_FILL_LOOP_MAX:
-                for f in empty:
-                    cx = x0 + (f % nx + 0.5) * bw
-                    cy = y0 + (f // nx + 0.5) * bh
-                    d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for _, x, y in pts]
-                    # index finds the first minimum, as argmin does
-                    bins[f] = bins[bin_of[d2.index(min(d2))]]
-                return
-            pts = np.array(pts)[:, 1:]
-        xs, ys = pts[:, 0], pts[:, 1]
-        flat = np.array(empty)
-        cxs = x0 + (flat % nx + 0.5) * bw
-        cys = y0 + (flat // nx + 0.5) * bh
-        owner_bins = np.asarray(bin_of)
-        step = max(1, _GAP_FILL_BLOCK // len(xs))
-        for lo in range(0, len(empty), step):
-            dx = xs - cxs[lo : lo + step, None]
-            dy = ys - cys[lo : lo + step, None]
-            d2 = dx * dx + dy * dy
-            owners = owner_bins[d2.argmin(axis=1)].tolist()
-            for f, b in zip(empty[lo : lo + step], owners):
-                bins[f] = bins[b]
+        if not new:
+            return None
+        if len(new) < len(runs):  # a box equal to its level's stops its list
+            keep = np.isin(runs, new)
+            ids, xs, ys = (a[np.repeat(keep, np.diff(offsets))] for a in (ids, xs, ys))
+            offsets = np.concatenate(([0], np.cumsum(sizes[runs[keep]])))
+        return _Depth([children[r] for r in new], offsets, ids, xs, ys)
 
     def _prepare_border(self, state: _BuiltState) -> None:
         """On a root level without children, gather the records of the

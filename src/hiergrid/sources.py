@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Extents, tight_extents
+from .geometry import COORD_MAX, Extents, tight_extents
 
 RecordId = int
 
@@ -79,8 +79,7 @@ class PointCollection(IndexableSource):
             pts = np.empty((0, 2), dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be (x, y) pairs")
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
+        _check_domain(pts)
         self._pts = pts
         self._version = 0
         self._extents: Extents | None = None
@@ -140,12 +139,19 @@ class PointCollection(IndexableSource):
         self._mutated()
 
 
-def _finite_row(x: float, y: float) -> np.ndarray:
-    """(x, y) as one float64 row; a NaN or infinite coordinate is rejected
-    with the constructor's message, before anything is stored."""
-    row = np.array([x, y], dtype=np.float64)
-    if not np.isfinite(row).all():
+def _check_domain(pts: np.ndarray) -> None:
+    """Reject a NaN or infinite coordinate, or one outside +-COORD_MAX."""
+    if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
+    if (np.abs(pts) > COORD_MAX).any():
+        raise ValueError(f"coordinates must be within +-{COORD_MAX!r}")
+
+
+def _finite_row(x: float, y: float) -> np.ndarray:
+    """(x, y) as one float64 row, checked with the constructor's messages
+    before anything is stored."""
+    row = np.array([x, y], dtype=np.float64)
+    _check_domain(row)
     return row
 
 
@@ -190,10 +196,10 @@ class SubGridSource(IndexableSource):
 def load_points(path) -> PointCollection:
     """Read the x,y-per-line point file format.
 
-    UTF-8 text; one record per line as two finite decimal literals separated
-    by a comma; blank lines and lines starting with '#' are ignored. A
-    malformed line, a NaN or an infinity raises ValueError naming the file
-    and line.
+    UTF-8 text; one record per line as two finite decimal literals within
+    +-COORD_MAX separated by a comma; blank lines and lines starting with
+    '#' are ignored. A malformed line, a NaN, an infinity or a coordinate
+    outside the domain raises ValueError naming the file and line.
     """
     pts: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -210,6 +216,10 @@ def load_points(path) -> PointCollection:
                 raise ValueError(f"{path}:{lineno}: expected 'x,y', got {raw!r}") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{path}:{lineno}: coordinates must be finite, got {raw!r}")
+            if abs(x) > COORD_MAX or abs(y) > COORD_MAX:
+                raise ValueError(
+                    f"{path}:{lineno}: coordinates must be within +-COORD_MAX, got {raw!r}"
+                )
             pts.append((x, y))
     return PointCollection(pts)
 

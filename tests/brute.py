@@ -5,7 +5,9 @@ intersection rules, used to cross-check the renderers bin by bin. The
 arithmetic mirrors the library's bin-edge convention (min + k * size) so
 closed-boundary hits evaluate identically on both sides. Also the
 hypothesis strategy that probes every bin edge to within an ulp, and a
-reference copy of the recursive nearest search over a built index's levels.
+reference copy of the recursive nearest search over a built index's levels,
+and the bin center and boundary distance that gap fill and the short circuit
+are checked against.
 """
 from __future__ import annotations
 
@@ -82,6 +84,32 @@ def rect_cells(rect: Extents, shape: GridShape) -> set[BinCoord]:
             if rects_overlap(rect, shape.bin_rect(c)):
                 out.add(c)
     return out
+
+
+def bin_center(c: BinCoord, shape: GridShape) -> Point2D:
+    """Center of bin c: min + (k + 0.5) * bin size on each axis, the
+    centers gap fill measures from."""
+    ext = shape.extents
+    return Point2D(
+        ext.min.x + (c.i + 0.5) * shape.bin_width,
+        ext.min.y + (c.j + 0.5) * shape.bin_height,
+    )
+
+
+def dist_to_bin_boundary(p: Point2D, c: BinCoord, shape: GridShape) -> float:
+    """Minimum perpendicular distance from p to the four edges of bin c,
+    with bin_rect's edges computed in place: the bound the home-bin short
+    circuit compares with."""
+    ext = shape.extents
+    bw, bh = shape.bin_width, shape.bin_height
+    x0 = ext.min.x + c.i * bw
+    y0 = ext.min.y + c.j * bh
+    x1 = ext.max.x if c.i == shape.divisions_x - 1 else ext.min.x + (c.i + 1) * bw
+    y1 = ext.max.y if c.j == shape.divisions_y - 1 else ext.min.y + (c.j + 1) * bh
+    px, py = p.x, p.y
+    if not (x0 <= px <= x1 and y0 <= py <= y1):
+        raise ValueError(f"point {p} is not inside bin {c}")
+    return min(px - x0, x1 - px, py - y0, y1 - py)
 
 
 def nearest_record(positions, q: Point2D) -> tuple[float, int]:

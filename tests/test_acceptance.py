@@ -182,8 +182,10 @@ class TestAcceptance:
         2x2 layer consults at most 3 neighbor bins, a 4x4 or finer one up
         to 8, so the 2x2 quad tree's worst case (7 single-record scans, 9
         layers deep) undercuts 4x4 (10) and 8x8 (9). The outcome depends on
-        the bucket size and on the statistic (at b=8 every finer layout
-        wins on interior mean), and the paper names neither.
+        the bucket size, on the statistic and on the data: at b=8 every
+        finer layout wins on interior mean over uniform data, but over
+        gaussian data 4x4 reads 8.92 against 2x2's 8.52. The paper names
+        neither bucket size nor statistic.
         """
         pts = uniform_points(N, seed=SEED)
         ladder = (2, 4, 8, 16)

@@ -15,6 +15,7 @@ from hiergrid import (
     HierConfig,
     HierGridIndex,
     Point2D,
+    PointCollection,
     gaussian_points,
     sweep_cost,
     uniform_points,
@@ -143,3 +144,66 @@ def range_digest(index) -> str:
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_digests_unchanged(name):
     assert digests(build(name)) == PINNED[name]
+
+
+def small_tree(name: str) -> HierGridIndex:
+    """signed-zero-lattice: records on a 5x5 integer lattice whose zero
+    coordinates are 0.0 or -0.0 at random, so level boxes end on a signed
+    zero. overflow-1e200: a 2x2 b=1 tree over +-1e200, where squared
+    distances overflow to inf and tie. floor-cluster: a tight cluster and 30
+    duplicates inside a box a million wide, whose child level the size floor
+    stops, leaving a child list of more than 24 records."""
+    rng = np.random.default_rng(3)
+    if name == "signed-zero-lattice":
+        pts = rng.integers(-2, 3, (300, 2)).astype(np.float64)
+        zeros = pts == 0.0
+        pts[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        return HierGridIndex(PointCollection(pts), 2, 2, HierConfig(max_bin_records=4))
+    if name == "overflow-1e200":
+        pts = rng.uniform(-1e200, 1e200, (300, 2))
+        return HierGridIndex(PointCollection(pts), 2, 2, HierConfig(max_bin_records=1))
+    cluster = rng.uniform(500_000.0, 500_000.5, (40, 2))
+    pts = np.vstack([[[0.0, 0.0], [1e6, 1e6]], cluster, [[500_000.25, 500_000.25]] * 30])
+    return HierGridIndex(PointCollection(pts), 5, 5, HierConfig(max_bin_records=1))
+
+
+def tree_digest(index) -> str:
+    """sha256 over every level in walk order (root, then each child level's
+    subtree in children order): its depth, its box and size floor as
+    float.hex, each registry list's ids in registry order with whether the
+    list has a child level, and each bin's filled owner as a registry
+    index."""
+    h = hashlib.sha256()
+
+    def walk(state) -> None:
+        ext = state.shape.extents
+        box = (ext.min.x, ext.min.y, ext.max.x, ext.max.y, state.size_floor)
+        h.update(f"{state.depth} {' '.join(v.hex() for v in box)}\n".encode())
+        registry = list(state.rendered.registry)
+        for lst in registry:
+            h.update(f"{lst.ids!r} {int(lst in state.children)}\n".encode())
+        owner = {lst: k for k, lst in enumerate(registry)}
+        h.update(" ".join(str(owner[lst]) for lst in state.filled.flat).encode() + b"\n")
+        for child in state.children.values():
+            walk(child)
+
+    walk(index.ensure_built())
+    return h.hexdigest()
+
+
+TREE_PINNED = {
+    "uniform-flat-10x10": "853ccb0c26bb55a8a6a2050438386f315d6c3eb835dfab8541de83c92bea9be9",
+    "uniform-hier-2x2-b1": "c639b430e9e30e63c2564a3dd34ac4af5fb79d0b54f817b34a95d1e7ed5e15f3",
+    "gaussian-hier-10x10-b8": "58342eea2453f17ec4b37c31b911c501333259c1d1537cb01f31c8fcd069bb38",
+    "gaussian-hier-7x5-b1": "39cfe6540eb16ff8f3af2f58bf288f49a620a32ed764452c3caebd7a3d813ed0",
+    "signed-zero-lattice": "46290393291120bdee50dc85f2bf8c8986a80162d914c70518d974c4e5585a33",
+    "overflow-1e200": "6cd54dfa35bdb405429cbe299ac15c168eaeee25e8806bc6427ab6ea137d9c3c",
+    "floor-cluster": "557e9fdafeb6f28400e205861b55e4375d35b43778db117da660d59e19da24bb",
+}
+
+
+@pytest.mark.parametrize("name", list(TREE_PINNED))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_tree_unchanged(name):
+    index = build(name) if name in CONFIGS else small_tree(name)
+    assert tree_digest(index) == TREE_PINNED[name]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiergrid import (
@@ -11,15 +11,14 @@ from hiergrid import (
     Extents,
     GridShape,
     Point2D,
-    bin_center,
     bounding_extents,
     default_smallest_dimension,
     dist_sq,
-    dist_to_bin_boundary,
     neighborhood,
     resolve_bin,
 )
-from hiergrid.geometry import DEGENERATE_AXIS_EPS, tight_extents, tight_extents_xy
+from brute import bin_center, dist_to_bin_boundary
+from hiergrid.geometry import DEGENERATE_AXIS_EPS, segment_extents, tight_extents
 
 UNIT = Extents(Point2D(0.0, 0.0), Point2D(100.0, 100.0))
 SHAPE10 = GridShape(10, 10, UNIT)
@@ -188,6 +187,9 @@ class TestNeighborhood:
 
 
 class TestDistances:
+    """dist_to_bin_boundary is tests/brute.py's reference, which the short
+    circuit's checks compare with: it must keep bin_rect's edges."""
+
     def test_dist_sq(self):
         assert dist_sq(Point2D(0.0, 0.0), Point2D(3.0, 4.0)) == 25.0
 
@@ -247,6 +249,25 @@ class TestDistances:
         assert d <= min(shape.bin_width, shape.bin_height) / 2 + slack
 
 
+@st.composite
+def _segments(draw):
+    """(xs, ys, sizes): points cut into 2-5 consecutive segments of 1-40
+    rows, over values that include both signed zeros."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=2, max_size=5))
+    n = sum(sizes)
+    xs = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e200])
+    ys = st.sampled_from([0.0, -0.0, 4.0, -1e-9])
+    return (
+        draw(st.lists(xs, min_size=n, max_size=n)),
+        draw(st.lists(ys, min_size=n, max_size=n)),
+        sizes,
+    )
+
+
+def _hexes(e: Extents) -> list[str]:
+    return [v.hex() for v in (e.min.x, e.min.y, e.max.x, e.max.y)]
+
+
 class TestBoundingExtents:
     def test_tight_box(self):
         e = bounding_extents([(1.0, 7.0), (5.0, 2.0), (3.0, 4.0)])
@@ -262,23 +283,26 @@ class TestBoundingExtents:
         with pytest.raises(ValueError):
             bounding_extents([])
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e200]),
-                st.sampled_from([0.0, -0.0, 4.0, -1e-9]),
-            ),
-            min_size=1,
-            max_size=23,
+    @given(_segments())
+    @example(
+        # a 17-row segment at offset 1 whose x minimum np.minimum.reduceat
+        # takes as 0.0, where tight_extents keeps the last zero, -0.0
+        (
+            [5.0, 0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, -0.0, 0.0, -0.0, 0.0,
+             -0.0, -0.0, 1.0],
+            [5.0] + [1.0] * 17,
+            [1, 17],
         )
     )
-    @settings(max_examples=200, deadline=None)
-    def test_python_box_has_the_array_box_bits(self, pts):
-        # signed zeros included: both keep the last of equal extremes
-        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-        boxes = [tight_extents(np.array(pts, dtype=np.float64)), tight_extents_xy(xs, ys)]
-        a, b = ([v.hex() for v in (e.min.x, e.min.y, e.max.x, e.max.y)] for e in boxes)
-        assert a == b
+    @settings(max_examples=300, deadline=None)
+    def test_segment_boxes_have_tight_extents_bits(self, segments):
+        xs, ys, sizes = (np.array(v) for v in segments)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        boxes = segment_extents(xs, ys, offsets)
+        assert len(boxes) == len(sizes)
+        for box, start, end in zip(boxes, offsets.tolist(), offsets[1:].tolist()):
+            want = tight_extents(np.column_stack((xs[start:end], ys[start:end])))
+            assert _hexes(box) == _hexes(want), (start, end)
 
 
 class TestDefaultSmallestDimension:

@@ -20,14 +20,19 @@ from hiergrid import (
     Point2D,
     PointCollection,
     RenderedGrid,
-    bin_center,
     resolve_bin,
     uniform_points,
 )
 
 from hiergrid.gridindex import _VECTOR_SCAN_MIN
 
-from brute import grid_and_near_edge_probes, nearest_record, rect_cells, segment_cells
+from brute import (
+    bin_center,
+    grid_and_near_edge_probes,
+    nearest_record,
+    rect_cells,
+    segment_cells,
+)
 
 UNIT = Extents(Point2D(0.0, 0.0), Point2D(100.0, 100.0))
 SHAPE10 = GridShape(10, 10, UNIT)
@@ -142,38 +147,49 @@ class TestRebuild:
         events = []
 
         class Recorder(GridIndex):
-            def _render_records(self, state, ids, pts):
-                assert len(state.rendered.registry) == 0
-                assert state.filled is None
-                assert state.positions.shape == (2, 2)
-                events.append("render")
-                return super()._render_records(state, ids, pts)
+            def _render_records(self, depth, ints):
+                assert all(len(s.rendered.registry) == 0 for s in depth.levels)
+                assert all(s.filled is None for s in depth.levels)
+                assert depth.levels[0].depth or depth.levels[0].positions.shape == (4, 2)
+                events.append(("render", depth.levels[0].depth))
+                super()._render_records(depth, ints)
 
-            def _fill_gaps(self, state, bins, pts, bin_of):
+            def _fill_gaps(self, depth):
                 # each list keeps one member form: these short ones, tuples
                 assert all(
-                    lst.triples is not None and lst.ids_arr is None
-                    for lst in state.rendered.registry
+                    lst.triples is not None and lst.ids_arr is None for lst in depth.lists
                 )
-                assert bin_of.tolist() == [0, 8]
-                events.append("fill")
-                super()._fill_gaps(state, bins, pts, bin_of)
+                events.append(("fill", depth.levels[0].depth))
+                super()._fill_gaps(depth)
 
-            def _on_after_rebuilt(self, state):
-                assert all(b is not None for b in state.filled.flat)
-                assert state.border_ids is None
-                events.append("after")
-                super()._on_after_rebuilt(state)
+            def _on_after_rebuilt(self, depth):
+                assert all(b is not None for s in depth.levels for b in s.filled.flat)
+                assert depth.levels[0].border_ids is None
+                events.append(("after", depth.levels[0].depth))
+                return super()._on_after_rebuilt(depth)
 
             def _prepare_border(self, state):
-                assert state.filled is not None
-                events.append("border")
+                assert state.filled is not None and state.depth == 0
+                events.append(("border", 0))
                 super()._prepare_border(state)
-                assert state.border_ids is not None
 
-        src = pc((1.0, 1.0), (9.0, 9.0))
-        Recorder(src, 3, 3).ensure_built()
-        assert events == ["render", "fill", "after", "border"]
+        src = pc((1.0, 1.0), (9.0, 9.0), (8.0, 8.0), (8.5, 8.0))
+        root = Recorder(src, 3, 3).ensure_built()
+        # the flat index renders its one depth as one segment
+        assert root.rendered.at(BinCoord(0, 0)).ids == [0]
+        assert root.rendered.at(BinCoord(2, 2)).ids == [1, 2, 3]
+        assert root.border_ids is not None
+        assert events == [("render", 0), ("fill", 0), ("after", 0), ("border", 0)]
+        # each step runs once per depth; border prep once, on the root
+        events.clear()
+        hier = Recorder(src, 3, 3)
+        hier._max_bin_records = 1
+        root = hier.ensure_built()
+        assert [s.depth for s in root.sub_indexes] == [1]
+        depths = max(d for _, d in events) + 1
+        assert events == [
+            (step, d) for d in range(depths) for step in ("render", "fill", "after")
+        ] + [("border", 0)]
 
 
 class TestInspection:

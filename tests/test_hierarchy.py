@@ -14,7 +14,6 @@ from hiergrid import (
     Point2D,
     PointCollection,
     RenderedGrid,
-    bin_center,
     default_smallest_dimension,
     gaussian_points,
     match_battery,
@@ -22,6 +21,7 @@ from hiergrid import (
     resolve_bin,
     uniform_points,
 )
+from brute import bin_center
 
 
 def pc(*pts) -> PointCollection:
@@ -39,14 +39,20 @@ def levels(state):
 def tree(name: str) -> HierGridIndex:
     """A hierarchical index with many levels. lattice: lattice-snapped
     records with duplicates, so many empty-bin centers sit at equal distance
-    from several records. quadtree: a 2x2 b=1 tree, whose levels are mostly
-    list levels of a few records. quadtree-1e200: the same over points
-    spread across +-1e200, where squared distances overflow to inf and tie."""
+    from several records. quadtree: a 2x2 b=1 tree, whose levels mostly hold
+    a few records. quadtree-1e200: the same over points spread across
+    +-1e200, where squared distances overflow to inf and tie. floor-cluster:
+    a cluster with 30 duplicates in a box a million wide, whose child level
+    the size floor stops, leaving it a list of more than 24 records."""
     rng = np.random.default_rng(5)
     if name == "lattice":
         return HierGridIndex(
             PointCollection(rng.integers(0, 12, (400, 2)) * 5.0), 5, 3, HierConfig(3)
         )
+    if name == "floor-cluster":
+        cluster = rng.uniform(500_000.0, 500_000.5, (40, 2))
+        pts = np.vstack([[[0.0, 0.0], [1e6, 1e6]], cluster, [[500_000.25, 500_000.25]] * 30])
+        return HierGridIndex(PointCollection(pts), 5, 5, HierConfig(1))
     scale = 1.0 if name == "quadtree" else 1e200
     return HierGridIndex(
         PointCollection(rng.uniform(-scale, scale, (500, 2))), 2, 2, HierConfig(1)
@@ -132,6 +138,33 @@ class TestSubdivisionPolicy:
         assert child.children == {}
         assert max(len(ids) for _, ids in idx.leaf_occupancies()) > 1
 
+    def test_a_list_whose_box_equals_its_level_stops_while_its_depth_splits(self):
+        # records on the line x = 1e12 get a level whose x axis is inflated
+        # to +-0.9; all of them fall in its right column, so that one list's
+        # box is its level's and it stops, while another level at the same
+        # depth subdivides
+        rng = np.random.default_rng(4)
+        line = np.column_stack([np.full(10, 1e12), np.arange(10.0)])
+        other = np.column_stack([1e12 + rng.uniform(60, 100, 40), rng.uniform(0, 9, 40)])
+        pts = np.vstack([[[1e12 - 100, 5.0]], line, other])
+        src = PointCollection(pts)
+        idx = HierGridIndex(src, 2, 1, HierConfig(max_bin_records=1))
+        all_levels = levels(idx.ensure_built())
+        (stopped,) = [
+            s
+            for s in all_levels
+            if any(len(lst) > 1 and lst not in s.children for lst in s.rendered.registry)
+        ]
+        (lst,) = stopped.rendered.registry
+        assert lst.ids == list(range(1, 11)) and stopped.children == {}
+        assert any(s.children for s in all_levels if s.depth == stopped.depth)
+        leaves = sorted(rid for _, ids in idx.leaf_occupancies() for rid in ids)
+        assert leaves == list(range(len(pts)))
+        brute = BruteForceIndex(src)
+        for x, y in pts.tolist():
+            got, want = idx.nearest(Point2D(x, y)), brute.nearest(Point2D(x, y))
+            assert got.distance == want.distance == 0.0
+
     def test_divisions_inherited_by_default(self):
         idx = HierGridIndex(uniform_points(600, seed=2), 4, 3, HierConfig(max_bin_records=3))
         subs = idx.sub_indexes
@@ -166,13 +199,12 @@ class TestLevels:
                     assert winner in lst.ids, (name, state.depth, c)
                     assert lst in state.rendered.registry
 
-    @pytest.mark.parametrize("name", TREES)
+    @pytest.mark.parametrize("name", [*TREES, "floor-cluster"])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_every_level_renders_as_render_point_and_freezes_its_members(self, name):
         root = tree(name).ensure_built()
-        all_levels = levels(root)
-        assert any(state.ids is None for state in all_levels)  # list levels ran
-        for state in all_levels:
+        long_lists = 0
+        for state in levels(root):
             members = sorted(rid for lst in state.rendered.registry for rid in lst.ids)
             # registry order and ids equal a render_point loop in id order
             grid = RenderedGrid(state.shape)
@@ -181,24 +213,31 @@ class TestLevels:
             assert [(c, lst.ids) for lst, c in state.rendered.registry.items()] == [
                 (c, lst.ids) for lst, c in grid.registry.items()
             ]
-            # a child of fewer than 24 records is a list level: no arrays
-            list_level = state.depth > 0 and len(members) < 24
-            assert (state.ids is None) == list_level
+            # only the root keeps its grouped records as arrays
+            assert (state.ids is None) == (state.depth > 0)
             for lst in state.rendered.registry:
                 forms = (lst.triples, lst.ids_arr, lst.xs, lst.ys)
                 if lst in state.children:  # queries delegate; no members kept
                     assert forms == (None,) * 4
                     continue
-                # one member form: tuples below 24 records, array views otherwise
+                # one member form: tuples below 24 records, arrays otherwise
                 assert (lst.triples is None) != (lst.ids_arr is None), (name, state.depth)
                 expected = [(rid, *root.positions[rid].tolist()) for rid in lst.ids]
-                if lst.triples is None:  # a long list on an array level
-                    assert not list_level and len(lst) >= 24
+                if lst.triples is None:
+                    assert len(lst) >= 24
                     got = list(zip(lst.ids_arr.tolist(), lst.xs.tolist(), lst.ys.tolist()))
+                    # the root's lists view its arrays; a child's own theirs
+                    bases = {id(a.base) for a in (lst.ids_arr, lst.xs, lst.ys)}
+                    if state.depth:
+                        long_lists += 1
+                        assert bases == {id(None)}
+                    else:
+                        assert bases == {id(root.ids), id(root.xs), id(root.ys)}
                 else:
                     assert len(lst) < 24 and lst.xs is None and lst.ys is None
                     got = lst.triples
                 assert got == expected, (name, state.depth)
+        assert (long_lists > 0) == (name == "floor-cluster")
 
     def test_levels_share_the_border_ring_and_only_a_childless_root_has_arrays(self):
         idx = HierGridIndex(uniform_points(2000, seed=8), 6, 4, HierConfig(max_bin_records=4))

@@ -23,13 +23,12 @@ from hiergrid import (
     Point2D,
     PointCollection,
     QueryResult,
-    dist_to_bin_boundary,
     gaussian_points,
     resolve_bin,
     uniform_points,
 )
 
-from brute import grid_and_near_edge_probes, reference_nearest
+from brute import dist_to_bin_boundary, grid_and_near_edge_probes, reference_nearest
 
 
 def pc(*pts) -> PointCollection:

@@ -8,6 +8,8 @@ from hiergrid import (
     EmptySourceError,
     Extents,
     GridIndex,
+    HierConfig,
+    HierGridIndex,
     Point2D,
     PointCollection,
     Record,
@@ -15,6 +17,7 @@ from hiergrid import (
     load_points,
     save_points,
 )
+from hiergrid.geometry import COORD_MAX, tight_extents
 
 
 def pc(*pts) -> PointCollection:
@@ -75,6 +78,46 @@ class TestPointCollection:
         assert np.array_equal(src.positions, before)
         assert src.version == version
         assert idx.nearest(Point2D(8.0, 8.0)).record == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_span_overflow_is_rejected_at_the_source(self):
+        """|x|, |y| <= COORD_MAX (half the largest float), so no box's width
+        or height overflows. This collection's width overflowed to inf:
+        numpy warned in axis_bins, and the first nearest raised IndexError
+        on flat 4x4 and on 2x2 b=1 indexes. Squared distances at the
+        domain's edge still overflow, as over +-1e200."""
+        with pytest.raises(ValueError, match="within"):
+            PointCollection([(-1e308, 0.0), (1e308, 1.0), (0.0, 0.5)])
+        edge = COORD_MAX
+        src = pc((-edge, -edge), (edge, edge), (0.0, 0.5))
+        for idx in (GridIndex(src, 4, 4), HierGridIndex(src, 2, 2, HierConfig(1))):
+            assert idx.nearest(Point2D(0.0, 0.0)).record == 2
+            assert idx.shape.extents.width == 2 * edge
+        for mutate in (
+            lambda: src.append(-1e308, 0.0),
+            lambda: src.move(0, 0.0, math.nextafter(edge, math.inf)),
+        ):
+            with pytest.raises(ValueError, match="within"):
+                mutate()
+        assert src.record_count == 3 and src.positions[0].tolist() == [-edge, -edge]
+
+    def test_source_whose_span_overflows_is_rejected_at_build(self):
+        """A source other than PointCollection is checked where the index
+        takes its box: tight_extents rejects a width or height that is not
+        finite."""
+
+        class Unchecked(PointCollection):
+            def fetch(self, rid, scratch):
+                super().fetch(rid, scratch)
+                if rid == 0:
+                    scratch.x = -1e308
+                return scratch
+
+        idx = GridIndex(Unchecked([(0.0, 0.0), (8e307, 1.0)]), 4, 4)
+        with pytest.raises(ValueError, match="overflows"):
+            idx.nearest(Point2D(0.0, 0.0))
+        with pytest.raises(ValueError, match="overflows"):
+            tight_extents(np.array([[-1e308, 0.0], [1e308, 1.0]]))
 
     def test_positions_view_is_read_only(self):
         src = pc((1.0, 2.0))
@@ -199,6 +242,12 @@ class TestPointFiles:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError, match=rf"bad\.csv:{line}:"):
                 load_points(path)
+
+    def test_coordinate_outside_the_domain_reports_location(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1.0,2.0\n-1e308,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"big\.csv:2: coordinates must be within"):
+            load_points(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
