@@ -1,14 +1,13 @@
 """The grid index: one builder for every level, one level search for both
 flavours.
 
-Records are rendered into a grid of id lists (the rendered grid, nulls where
-empty), every empty bin is then redirected to the list holding the record
-nearest its center (the filled grid), and nearest queries scan the query
-point's bin plus, when the home-bin short circuit does not fire, its
-1-neighborhood. Every list of more than _max_bin_records records (unbounded
-unless HierGridIndex sets it) gets a child level over its own records, and
-the search delegates to it wherever it would scan that list, so the flat
-index is the case with no children.
+Records are rendered into id lists, one per occupied bin, each knowing its
+home bin; every empty bin then points at the list holding the record nearest
+its center, and nearest queries scan the query point's bin plus, when the
+home-bin short circuit does not fire, its 1-neighborhood. Every list of more
+than _max_bin_records records (unbounded unless HierGridIndex sets it) gets
+a child level over its own records, and the search delegates to it wherever
+it would scan that list, so the flat index is the case with no children.
 
 A rebuild fetches every record once into a positions array and builds the
 tree one depth at a time. A depth's input is the records of all its levels
@@ -18,8 +17,8 @@ within each level. One pass over it:
 - bins every record on its own level with axis_bins, render_point's
   arithmetic;
 - groups the records by (level, bin) with one stable sort: each run is one
-  bin's list, ascending id within it, and each level registers its lists in
-  first-seen id order, as render_point creates them;
+  bin's list, ascending id within it, and each level keeps its lists in
+  first-seen id order, as render_point registers them;
 - freezes each list's members: triples below _VECTOR_SCAN_MIN records, else
   id, x and y arrays (views of the root's grouped arrays on the root, copies
   on a child level);
@@ -88,19 +87,22 @@ class OutsideExtentsError(ValueError):
 
 
 class BinList:
-    """One bin's ordered list of record ids.
+    """One bin's ordered list of record ids, with its home (the flat index
+    of the bin it was rendered in) and its child level, or None.
 
-    Identity-based: the registry, the filled grid and the child-level map
-    all share these objects by reference, and scan dedup compares identity,
-    not content. Ids stay unique (a record enters a given bin once) and
-    ascending, because rendering iterates record ids in order; a repeated
-    id can therefore only be the last one.
+    Identity-based: every bin the list fills holds this object by
+    reference, and scan dedup compares identity, not content. Ids stay
+    unique (a record enters a given bin once) and ascending, because
+    rendering iterates record ids in order; a repeated id can therefore
+    only be the last one.
     """
 
-    __slots__ = ("ids", "ids_arr", "xs", "ys", "triples")
+    __slots__ = ("ids", "home", "child", "ids_arr", "xs", "ys", "triples")
 
-    def __init__(self, ids: list[RecordId] | None = None) -> None:
-        self.ids: list[RecordId] = [] if ids is None else ids
+    def __init__(self, ids: list[RecordId], home: int) -> None:
+        self.ids = ids
+        self.home = home
+        self.child: _BuiltState | None = None
         self.ids_arr: np.ndarray | None = None
         self.xs: np.ndarray | None = None
         self.ys: np.ndarray | None = None
@@ -129,12 +131,21 @@ class BinList:
 
 
 class RenderedGrid:
-    """True occupancy: optional BinList per bin plus the unique-list registry."""
+    """True occupancy: optional BinList per bin, each at its home, and the
+    lists in creation order. The render_* canvas, and a level's view."""
 
-    def __init__(self, shape: GridShape) -> None:
+    def __init__(self, shape: GridShape, lists: Sequence[BinList] = ()) -> None:
         self.shape = shape
         self._bins: list[Optional[BinList]] = [None] * (shape.divisions_x * shape.divisions_y)
-        self.registry: dict[BinList, BinCoord] = {}
+        self.lists = list(lists)
+        for lst in self.lists:
+            self._bins[lst.home] = lst
+
+    @property
+    def registry(self) -> dict[BinList, BinCoord]:
+        """Each list's home bin, in creation order."""
+        nx = self.shape.divisions_x
+        return {lst: BinCoord(lst.home % nx, lst.home // nx) for lst in self.lists}
 
     def at(self, c: BinCoord) -> Optional[BinList]:
         return self._bins[c.j * self.shape.divisions_x + c.i]
@@ -149,24 +160,17 @@ class RenderedGrid:
         flat = j * self.shape.divisions_x + i
         lst = self._bins[flat]
         if lst is None:
-            lst = BinList()
+            lst = BinList([], flat)
             self._bins[flat] = lst
-            self.registry[lst] = BinCoord(i, j)
+            self.lists.append(lst)
         return lst
 
-    def render_point(self, rid: RecordId, p: Point2D) -> int:
-        """Add rid to the bin holding p and return that bin's flat index."""
+    def render_point(self, rid: RecordId, p: Point2D) -> None:
+        """Add rid to the bin holding p."""
         c = resolve_bin(p, self.shape)
         if c is None:
             raise OutsideExtentsError(f"point {p} outside grid extents")
         self._list_at(c.i, c.j).append(rid)
-        return c.j * self.shape.divisions_x + c.i
-
-    def render_points(self, ids: Sequence[RecordId], pts: np.ndarray) -> np.ndarray:
-        """render_point for every (ids[k], pts[k]) in order; returns each
-        record's flat bin index."""
-        flats = [self.render_point(rid, Point2D(x, y)) for rid, (x, y) in zip(ids, pts.tolist())]
-        return np.array(flats, dtype=np.intp)
 
     def render_line(self, rid: RecordId, a: Point2D, b: Point2D) -> None:
         """Add rid to every bin the closed segment [a, b] touches.
@@ -248,18 +252,15 @@ class RenderedGrid:
 
 
 class FilledGrid:
-    """Gap-filled view: every bin references a non-empty BinList."""
+    """Gap-filled view of a level's bins, flat and row-major: every bin
+    references a non-empty BinList."""
 
     def __init__(self, shape: GridShape, bins: list[BinList]) -> None:
         self.shape = shape
-        self._bins = bins
+        self.flat = bins
 
     def at(self, c: BinCoord) -> BinList:
-        return self._bins[c.j * self.shape.divisions_x + c.i]
-
-    @property
-    def flat(self) -> list[BinList]:
-        return self._bins
+        return self.flat[c.j * self.shape.divisions_x + c.i]
 
 
 class QueryResult(NamedTuple):
@@ -300,14 +301,18 @@ class _Best:
 class _BuiltState:
     """One grid level; the root level is swapped in atomically.
 
+    bins holds the list filling each bin, row-major, and lists the level's
+    lists in first-seen id order; rendered, filled and sub_indexes are
+    views made from them on access.
+
     Every level of a build shares the root's size floor and holds root
     record ids. Only the root keeps the positions array, so a child level
     that a later build reuses keeps no older build's array alive. reused,
     on the root only, maps a flat bin to the (ids, child level) this build
-    took as it was from the previous one. children maps an overfull list to
-    its child level. Only a root level without children holds the border
-    arrays, in ascending id order, which its flat border scan reads; every
-    other level walks its index's border ring through filled.
+    took as it was from the previous one. Only a root level without
+    children holds the border arrays, in ascending id order, which its flat
+    border scan reads; every other level walks its index's border ring
+    through bins.
 
     min_x .. ny are the shape's own float and int objects, so the level
     visit reads its box, bin sizes and divisions without a call. On the root
@@ -318,36 +323,15 @@ class _BuiltState:
     """
 
     __slots__ = (
-        "shape",
-        "rendered",
-        "filled",
-        "positions",
-        "depth",
-        "version",
-        "size_floor",
-        "border_ids",
-        "border_xs",
-        "border_ys",
-        "children",
-        "reused",
-        "min_x",
-        "min_y",
-        "max_x",
-        "max_y",
-        "bin_w",
-        "bin_h",
-        "nx",
-        "ny",
-        "ids",
-        "xs",
-        "ys",
-        "starts",
+        "shape", "bins", "lists", "positions", "depth", "version", "size_floor",
+        "border_ids", "border_xs", "border_ys", "reused", "min_x", "min_y", "max_x",
+        "max_y", "bin_w", "bin_h", "nx", "ny", "ids", "xs", "ys", "starts",
     )
 
     def __init__(self, shape: GridShape, depth: int, size_floor: float) -> None:
         self.shape = shape
-        self.rendered = RenderedGrid(shape)
-        self.filled: FilledGrid | None = None
+        self.bins: list[BinList] | None = None
+        self.lists: list[BinList] | None = None
         self.positions: np.ndarray | None = None
         self.depth = depth
         self.version: int | None = None
@@ -355,7 +339,6 @@ class _BuiltState:
         self.border_ids: np.ndarray | None = None
         self.border_xs: np.ndarray | None = None
         self.border_ys: np.ndarray | None = None
-        self.children: dict[BinList, _BuiltState] = {}
         self.reused: dict[int, tuple[list[RecordId], _BuiltState]] | None = None
         ext = shape.extents
         self.min_x, self.min_y = ext.min.x, ext.min.y
@@ -368,9 +351,19 @@ class _BuiltState:
         self.starts: list[int] | None = None
 
     @property
+    def rendered(self) -> RenderedGrid:
+        """Inspection view: each list at its home bin, in first-seen order."""
+        return RenderedGrid(self.shape, self.lists)
+
+    @property
+    def filled(self) -> FilledGrid:
+        """Inspection view of bins."""
+        return FilledGrid(self.shape, self.bins)
+
+    @property
     def sub_indexes(self) -> list["_BuiltState"]:
-        """Child levels, in rendered-registry order."""
-        return list(self.children.values())
+        """Child levels, in first-seen list order."""
+        return [lst.child for lst in self.lists if lst.child is not None]
 
 
 class _Depth:
@@ -381,14 +374,13 @@ class _Depth:
     Rendering adds the per-level box arrays (min_x, min_y, bin_w, bin_h),
     each record's flat bin on its level, the records grouped by (level, bin)
     as rows (ids, xs, ys), and per run of one (level, bin): its start in
-    rows (cuts, one more for the end), its key level * bins + bin, the input
-    position of its first record, and its BinList. grid holds the lists by
-    key, None where a bin is empty.
+    rows (cuts, one more for the end), its key level * bins + bin, and its
+    BinList. grid holds the lists by key, None where a bin is empty.
     """
 
     __slots__ = (
         "levels", "offsets", "ids", "xs", "ys", "box", "flat", "rows",
-        "cuts", "keys", "firsts", "lists", "grid",
+        "cuts", "keys", "lists", "grid",
     )
 
     def __init__(self, levels, offsets, ids, xs, ys) -> None:
@@ -429,14 +421,11 @@ def _reusable(
     bins = axis_bins(at[:, 1], old.min_y, old.bin_h, old.ny) * nx
     bins += axis_bins(at[:, 0], old.min_x, old.bin_w, nx)
     touched = set(bins.tolist())
-    registry = old.rendered.registry
-    out = {}
-    for lst, child in old.children.items():
-        c = registry[lst]
-        flat = c.j * nx + c.i
-        if flat not in touched:
-            out[flat] = (lst.ids, child)
-    return out
+    return {
+        lst.home: (lst.ids, lst.child)
+        for lst in old.lists
+        if lst.child is not None and lst.home not in touched
+    }
 
 
 def _gaps_sq(v: float, lo: float, size: float, n: int) -> list[float]:
@@ -538,7 +527,7 @@ class GridIndex:
     def sub_at(self, c: BinCoord) -> Optional[_BuiltState]:
         """The child level bin c delegates to, if any."""
         state = self.ensure_built()
-        return state.children.get(state.filled.at(c))
+        return state.bins[c.j * state.nx + c.i].child
 
     @property
     def level_counts(self) -> tuple[int, int]:
@@ -548,7 +537,7 @@ class GridIndex:
         state = self.ensure_built()
 
         def count(s: _BuiltState) -> int:
-            return 1 + sum(count(c) for c in s.children.values())
+            return 1 + sum(count(c) for c in s.sub_indexes)
 
         reused = sum(count(child) for _, child in (state.reused or {}).values())
         return count(state) - reused, reused
@@ -560,11 +549,10 @@ class GridIndex:
 
         def collect(state: _BuiltState) -> None:
             for lst, coord in state.rendered.registry.items():
-                child = state.children.get(lst)
-                if child is None:
+                if lst.child is None:
                     out.append((state.shape.bin_rect(coord), tuple(lst.ids)))
                 else:
-                    collect(child)
+                    collect(lst.child)
 
         collect(self.ensure_built())
         return out
@@ -616,7 +604,7 @@ class GridIndex:
         root = _BuiltState(GridShape(self.divisions_x, self.divisions_y, extents), 0, floor)
         root.positions = positions
         old = self._state
-        if old is not None and old.children and len(old.positions) == n:
+        if old is not None and len(old.positions) == n and old.sub_indexes:
             root.reused = _reusable(old, positions, extents, floor)
         # one int object per record, which the lists of every depth share
         ints = np.arange(n).astype(object)
@@ -641,10 +629,10 @@ class GridIndex:
 
         Bins come from axis_bins on each level's box; one stable sort on
         (level, bin) groups the records, so every run is one bin's list,
-        ascending id within it. A level's lists are registered in the order
-        of their first records, which is render_point's first-seen order,
-        and hold the ids as the objects in `ints`. The root keeps the grouped
-        arrays and each bin's offset into them.
+        ascending id within it. Each list knows its home bin and holds the
+        ids as the objects in `ints`; a level keeps its lists in the order
+        of their first records, which is render_point's first-seen order.
+        The root keeps the grouped arrays and each bin's offset into them.
         """
         levels = depth.levels
         nx, ny = self.divisions_x, self.divisions_y
@@ -662,18 +650,21 @@ class GridIndex:
         grouped = grouped[order]
         heads = np.flatnonzero(np.diff(grouped, prepend=-1))
         depth.cuts = cuts = [*heads.tolist(), len(order)]
-        depth.keys, depth.firsts = grouped[heads], order[heads]
+        depth.keys = keys = grouped[heads]
         depth.rows = rows = (depth.ids[order], depth.xs[order], depth.ys[order])
         members = ints[rows[0]].tolist()
-        depth.lists = lists = [BinList(members[s:e]) for s, e in zip(cuts, cuts[1:])]
+        homes = (keys % nb).tolist()
+        depth.lists = lists = [
+            BinList(members[s:e], home) for s, e, home in zip(cuts, cuts[1:], homes)
+        ]
         depth.grid = grid = np.empty(len(levels) * nb, dtype=object)
-        grid[depth.keys] = np.fromiter(lists, dtype=object, count=len(lists))
-        for k, level in enumerate(levels):
-            level.rendered._bins = grid[k * nb : (k + 1) * nb].tolist()
-        keys = depth.keys.tolist()
-        for r in np.argsort(depth.firsts).tolist():
-            k, b = divmod(keys[r], nb)
-            levels[k].rendered.registry[lists[r]] = BinCoord(b % nx, b // nx)
+        grid[keys] = np.fromiter(lists, dtype=object, count=len(lists))
+        # sorted by first record, the lists fall into level order, each
+        # level's in first-seen order
+        by_first = [lists[r] for r in np.argsort(order[heads]).tolist()]
+        ends = np.cumsum(np.bincount(keys // nb, minlength=len(levels))).tolist()
+        for level, start, end in zip(levels, [0, *ends], ends):
+            level.lists = by_first[start:end]
         root = levels[0]
         if not root.depth:
             root.ids, root.xs, root.ys = rows
@@ -727,7 +718,7 @@ class GridIndex:
         filled = grid.copy()
         filled[empty] = grid[level * nb + depth.flat[owners]]
         for k, lv in enumerate(depth.levels):
-            lv.filled = FilledGrid(lv.shape, filled[k * nb : (k + 1) * nb].tolist())
+            lv.bins = filled[k * nb : (k + 1) * nb].tolist()
 
     def _on_after_rebuilt(self, depth: _Depth) -> _Depth | None:
         """Give every list of more than _max_bin_records records a child
@@ -738,7 +729,7 @@ class GridIndex:
 
         A list whose bin the root reuses takes the previous build's child
         and ids list instead. A list with a child drops its members: queries
-        delegate to the child. A level's children follow its registry order.
+        delegate to the child.
         """
         levels, lists, cuts = depth.levels, depth.lists, depth.cuts
         nb = self.divisions_x * self.divisions_y
@@ -766,9 +757,9 @@ class GridIndex:
                 shape = GridShape(parent.nx, parent.ny, box)
                 children[r] = _BuiltState(shape, parent.depth + 1, floor)
                 new.append(r)
-        for r in sorted(children, key=depth.firsts.__getitem__):
+        for r, child in children.items():
             lst = lists[r]
-            levels[level_of[r]].children[lst] = children[r]
+            lst.child = child
             lst.ids_arr = lst.xs = lst.ys = lst.triples = None
         if not new:
             return None
@@ -783,22 +774,20 @@ class GridIndex:
         border ring's distinct lists in ascending id order for the flat
         border scan.
 
-        A list's ids are the run of the root's bin-sorted ids at its
-        rendered bin, which the registry names and starts bounds; their
-        coordinates are gathered from the positions array.
+        A list's ids are the run of the root's bin-sorted ids at its home
+        bin, which starts bounds; their coordinates are gathered from the
+        positions array.
         """
-        if state.depth or state.children:
+        if state.depth or state.sub_indexes:
             return
-        registry, starts, nx = state.rendered.registry, state.starts, state.nx
+        bins, starts = state.bins, state.starts
         seen = set()
         runs = []
         for f in self._ring_flat:
-            lst = state.filled.flat[f]
+            lst = bins[f]
             if lst not in seen:
                 seen.add(lst)
-                c = registry[lst]
-                b = c.j * nx + c.i
-                runs.append(slice(starts[b], starts[b + 1]))
+                runs.append(slice(starts[lst.home], starts[lst.home + 1]))
         ids = np.sort(np.concatenate([state.ids[r] for r in runs]))
         state.border_ids, state.border_xs, state.border_ys = (
             ids, state.positions[ids, 0], state.positions[ids, 1]
@@ -837,14 +826,12 @@ class GridIndex:
         nx, ny, bw, bh = state.nx, state.ny, state.bin_w, state.bin_h
         i = _axis_bin(qx, x0, bw, nx)
         j = _axis_bin(qy, y0, bh, ny)
-        bins = state.filled._bins
+        bins = state.bins
         home = bins[j * nx + i]
-        children = state.children
-        if children:
-            child = children.get(home)
-            if child is not None:
-                self._delegate(child, q, best)
-                return False
+        child = home.child
+        if child is not None:
+            self._delegate(child, q, best)
+            return False
         m = _scan_list(home, qx, qy, best)
         # the distance to the nearest edge of bin_rect((i, j))
         edge = qx - (x0 + i * bw)
@@ -870,7 +857,7 @@ class GridIndex:
                 if lst in seen:
                     continue
                 seen.add(lst)
-                child = children.get(lst) if children else None
+                child = lst.child
                 if child is None:
                     _scan_list(lst, qx, qy, best)
                 else:
@@ -906,8 +893,7 @@ class GridIndex:
         ddx = _gaps_sq(qx, state.min_x, state.bin_w, state.nx)
         ddy = _gaps_sq(qy, state.min_y, state.bin_h, state.ny)
         d2s = [ddx[i] + ddy[j] for i, j in zip(self._ring_i, self._ring_j)]
-        bins = state.filled._bins
-        children = state.children
+        bins = state.bins
         seen = set()
         k, prev = -1, -1.0
         for d2 in sorted(d2s):
@@ -920,7 +906,7 @@ class GridIndex:
             if lst in seen:
                 continue
             seen.add(lst)
-            child = children.get(lst) if children else None
+            child = lst.child
             if child is None:
                 _scan_list(lst, qx, qy, best)
             else:

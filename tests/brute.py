@@ -186,6 +186,10 @@ def reference_nearest(index: GridIndex, q: Point2D) -> tuple[int, float, int, bo
     root = index.ensure_built()
     pos = root.positions.tolist()
 
+    def at(state, c: BinCoord):
+        """The list filling bin c of a level."""
+        return state.bins[c.j * state.shape.divisions_x + c.i]
+
     def scan(lst, best: _RefBest) -> None:
         best.cost += len(lst.ids)
         for rid in lst.ids:
@@ -194,8 +198,8 @@ def reference_nearest(index: GridIndex, q: Point2D) -> tuple[int, float, int, bo
             dy = y - q.y
             best.offer(dx * dx + dy * dy, rid)
 
-    def visit(state, lst, best: _RefBest, bound: float) -> None:
-        child = state.children.get(lst)
+    def visit(lst, best: _RefBest, bound: float) -> None:
+        child = lst.child
         if child is None:
             scan(lst, best)
         else:
@@ -214,9 +218,9 @@ def reference_nearest(index: GridIndex, q: Point2D) -> tuple[int, float, int, bo
             if i in (0, nx - 1) or j in (0, ny - 1)
         ]
         seen: list = []
-        if state.depth == 0 and not state.children:
+        if state.depth == 0 and not state.sub_indexes:
             for c in ring:
-                lst = state.filled.at(c)
+                lst = at(state, c)
                 if not any(lst is s for s in seen):
                     seen.append(lst)
                     scan(lst, best)
@@ -235,19 +239,19 @@ def reference_nearest(index: GridIndex, q: Point2D) -> tuple[int, float, int, bo
         for k in sorted(range(len(ring)), key=d2s.__getitem__):
             if d2s[k] > min(bound, best.d2):
                 break
-            lst = state.filled.at(ring[k])
+            lst = at(state, ring[k])
             if not any(lst is s for s in seen):
                 seen.append(lst)
-                visit(state, lst, best, bound)
+                visit(lst, best, bound)
 
     def search(state, best: _RefBest, bound: float) -> bool:
         c = resolve_bin(q, state.shape)
         if c is None:
             border(state, best, bound)
             return False
-        home = state.filled.at(c)
-        if home in state.children:
-            visit(state, home, best, bound)
+        home = at(state, c)
+        if home.child is not None:
+            visit(home, best, bound)
             return False
         scan(home, best)
         r = state.shape.bin_rect(c)
@@ -256,10 +260,10 @@ def reference_nearest(index: GridIndex, q: Point2D) -> tuple[int, float, int, bo
             return True
         seen = [home]
         for n in neighborhood(c, state.shape):
-            lst = state.filled.at(n)
+            lst = at(state, n)
             if not any(lst is s for s in seen):
                 seen.append(lst)
-                visit(state, lst, best, bound)
+                visit(lst, best, bound)
         return False
 
     best = _RefBest()

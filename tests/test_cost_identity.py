@@ -169,23 +169,22 @@ def small_tree(name: str) -> HierGridIndex:
 
 def tree_digest(index) -> str:
     """sha256 over every level in walk order (root, then each child level's
-    subtree in children order): its depth, its box and size floor as
-    float.hex, each registry list's ids in registry order with whether the
-    list has a child level, and each bin's filled owner as a registry
-    index."""
+    subtree in list order): its depth, its box and size floor as float.hex,
+    each list's ids in first-seen order with whether the list has a child
+    level, and each bin's filled owner as an index into those lists."""
     h = hashlib.sha256()
 
     def walk(state) -> None:
         ext = state.shape.extents
         box = (ext.min.x, ext.min.y, ext.max.x, ext.max.y, state.size_floor)
         h.update(f"{state.depth} {' '.join(v.hex() for v in box)}\n".encode())
-        registry = list(state.rendered.registry)
-        for lst in registry:
-            h.update(f"{lst.ids!r} {int(lst in state.children)}\n".encode())
-        owner = {lst: k for k, lst in enumerate(registry)}
-        h.update(" ".join(str(owner[lst]) for lst in state.filled.flat).encode() + b"\n")
-        for child in state.children.values():
-            walk(child)
+        for lst in state.lists:
+            h.update(f"{lst.ids!r} {int(lst.child is not None)}\n".encode())
+        owner = {lst: k for k, lst in enumerate(state.lists)}
+        h.update(" ".join(str(owner[lst]) for lst in state.bins).encode() + b"\n")
+        for lst in state.lists:
+            if lst.child is not None:
+                walk(lst.child)
 
     walk(index.ensure_built())
     return h.hexdigest()

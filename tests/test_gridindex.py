@@ -1,5 +1,7 @@
 """Rebuild pipeline, renderers and gap fill of the flat grid index."""
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from hiergrid import (
     BinCoord,
+    BinList,
     BruteForceIndex,
     EmptySourceError,
     Extents,
+    FilledGrid,
     GridIndex,
     GridShape,
     HierConfig,
@@ -20,6 +24,7 @@ from hiergrid import (
     Point2D,
     PointCollection,
     RenderedGrid,
+    gaussian_points,
     resolve_bin,
     uniform_points,
 )
@@ -33,6 +38,7 @@ from brute import (
     rect_cells,
     segment_cells,
 )
+from test_hierarchy import TREES, levels, tree
 
 UNIT = Extents(Point2D(0.0, 0.0), Point2D(100.0, 100.0))
 SHAPE10 = GridShape(10, 10, UNIT)
@@ -44,6 +50,21 @@ def pc(*pts) -> PointCollection:
 
 def grid_cells(rendered: RenderedGrid) -> set[BinCoord]:
     return set(rendered.registry.values())
+
+
+def reachable(root) -> list:
+    """Every object reachable from root through gc referents, except the
+    classes, modules and functions that every index shares."""
+    shared = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, out, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
 
 
 class TestRebuild:
@@ -148,8 +169,7 @@ class TestRebuild:
 
         class Recorder(GridIndex):
             def _render_records(self, depth, ints):
-                assert all(len(s.rendered.registry) == 0 for s in depth.levels)
-                assert all(s.filled is None for s in depth.levels)
+                assert all(s.lists is None and s.bins is None for s in depth.levels)
                 assert depth.levels[0].depth or depth.levels[0].positions.shape == (4, 2)
                 events.append(("render", depth.levels[0].depth))
                 super()._render_records(depth, ints)
@@ -163,21 +183,20 @@ class TestRebuild:
                 super()._fill_gaps(depth)
 
             def _on_after_rebuilt(self, depth):
-                assert all(b is not None for s in depth.levels for b in s.filled.flat)
+                assert all(b is not None for s in depth.levels for b in s.bins)
                 assert depth.levels[0].border_ids is None
                 events.append(("after", depth.levels[0].depth))
                 return super()._on_after_rebuilt(depth)
 
             def _prepare_border(self, state):
-                assert state.filled is not None and state.depth == 0
+                assert state.bins is not None and state.depth == 0
                 events.append(("border", 0))
                 super()._prepare_border(state)
 
         src = pc((1.0, 1.0), (9.0, 9.0), (8.0, 8.0), (8.5, 8.0))
         root = Recorder(src, 3, 3).ensure_built()
         # the flat index renders its one depth as one segment
-        assert root.rendered.at(BinCoord(0, 0)).ids == [0]
-        assert root.rendered.at(BinCoord(2, 2)).ids == [1, 2, 3]
+        assert [(lst.home, lst.ids) for lst in root.lists] == [(0, [0]), (8, [1, 2, 3])]
         assert root.border_ids is not None
         assert events == [("render", 0), ("fill", 0), ("after", 0), ("border", 0)]
         # each step runs once per depth; border prep once, on the root
@@ -213,6 +232,20 @@ class TestInspection:
             else:
                 assert lst.triples is None
                 assert lst.ids_arr.tolist() == lst.ids
+
+    def test_a_built_level_keeps_only_its_bins_and_lists(self):
+        # the rendered grid, filled grid and registry are views made on
+        # access: a built index holds none of them, nor a dict by list
+        for idx in (
+            HierGridIndex(uniform_points(2000, seed=5), 2, 2, HierConfig(max_bin_records=1)),
+            HierGridIndex(gaussian_points(5000, seed=5), 10, 10, HierConfig(max_bin_records=8)),
+        ):
+            assert len(idx.sub_indexes) > 1
+            objs = reachable(idx)
+            assert not [o for o in objs if isinstance(o, (RenderedGrid, FilledGrid, BinCoord))]
+            assert not [
+                o for o in objs if isinstance(o, dict) and any(isinstance(k, BinList) for k in o)
+            ]
 
 
 class TestSourceContract:
@@ -374,7 +407,7 @@ class TestRenderPoint:
 
     def test_outside_rejected(self):
         g = RenderedGrid(SHAPE10)
-        with pytest.raises(OutsideExtentsError):
+        with pytest.raises(OutsideExtentsError, match=r"point .*100\.1.* outside grid extents"):
             g.render_point(0, Point2D(100.1, 50.0))
 
 
@@ -401,19 +434,6 @@ class TestRenderPoints:
         got = idx.rendered
         assert list(got.registry.values()) == list(want.registry.values())
         assert [lst.ids for lst in got.registry] == [lst.ids for lst in want.registry]
-
-    def test_returns_each_records_bin(self):
-        g = RenderedGrid(SHAPE10)
-        pts = np.array([[25.0, 35.0], [100.0, 100.0], [0.0, 0.0], [26.0, 36.0]])
-        flat = g.render_points(range(4), pts)
-        assert flat.tolist() == [32, 99, 0, 32]
-        assert flat.tolist() == [g.render_point(9, Point2D(*p)) for p in pts.tolist()]
-
-    def test_point_outside_rejected(self):
-        g = RenderedGrid(SHAPE10)
-        pts = np.array([[25.0, 35.0], [100.1, 50.0], [5.0, 5.0]])
-        with pytest.raises(OutsideExtentsError, match=r"point .*100\.1.* outside grid extents"):
-            g.render_points(range(3), pts)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("hierarchical", [False, True])
@@ -590,8 +610,16 @@ class TestFillGaps:
                     )
                     assert idx.filled.at(c) is idx.rendered.at(home)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rendered_bins_keep_their_own_list(self):
-        idx = GridIndex(uniform_points(200, seed=3), 6, 6)
-        idx.ensure_built()
-        for lst, coord in idx.rendered.registry.items():
-            assert idx.filled.at(coord) is lst
+        flat = GridIndex(uniform_points(200, seed=3), 6, 6)
+        for idx in [flat, *(tree(name) for name in [*TREES, "floor-cluster"])]:
+            for lst, coord in idx.rendered.registry.items():
+                assert idx.filled.at(coord) is lst
+            for state in levels(idx.ensure_built()):
+                assert all(state.bins[lst.home] is lst for lst in state.lists)
+            shape = idx.shape
+            for j in range(shape.divisions_y):
+                for i in range(shape.divisions_x):
+                    c = BinCoord(i, j)
+                    assert idx.sub_at(c) is idx.filled.at(c).child

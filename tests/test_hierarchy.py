@@ -31,7 +31,7 @@ def pc(*pts) -> PointCollection:
 def levels(state):
     """Every level of a built tree, root first."""
     out = [state]
-    for child in state.children.values():
+    for child in state.sub_indexes:
         out.extend(levels(child))
     return out
 
@@ -135,7 +135,7 @@ class TestSubdivisionPolicy:
         assert root.size_floor == default_smallest_dimension(root.shape.extents)
         (child,) = root.sub_indexes
         assert child.shape.bin_width < root.size_floor
-        assert child.children == {}
+        assert child.sub_indexes == []
         assert max(len(ids) for _, ids in idx.leaf_occupancies()) > 1
 
     def test_a_list_whose_box_equals_its_level_stops_while_its_depth_splits(self):
@@ -153,11 +153,11 @@ class TestSubdivisionPolicy:
         (stopped,) = [
             s
             for s in all_levels
-            if any(len(lst) > 1 and lst not in s.children for lst in s.rendered.registry)
+            if any(len(lst) > 1 and lst.child is None for lst in s.lists)
         ]
-        (lst,) = stopped.rendered.registry
-        assert lst.ids == list(range(1, 11)) and stopped.children == {}
-        assert any(s.children for s in all_levels if s.depth == stopped.depth)
+        (lst,) = stopped.lists
+        assert lst.ids == list(range(1, 11)) and stopped.sub_indexes == []
+        assert any(s.sub_indexes for s in all_levels if s.depth == stopped.depth)
         leaves = sorted(rid for _, ids in idx.leaf_occupancies() for rid in ids)
         assert leaves == list(range(len(pts)))
         brute = BruteForceIndex(src)
@@ -217,7 +217,7 @@ class TestLevels:
             assert (state.ids is None) == (state.depth > 0)
             for lst in state.rendered.registry:
                 forms = (lst.triples, lst.ids_arr, lst.xs, lst.ys)
-                if lst in state.children:  # queries delegate; no members kept
+                if lst.child is not None:  # queries delegate; no members kept
                     assert forms == (None,) * 4
                     continue
                 # one member form: tuples below 24 records, arrays otherwise
@@ -257,7 +257,7 @@ class TestLevels:
             assert state.border_xs is None and state.border_ys is None
         unsplit = HierGridIndex(uniform_points(2000, seed=8), 6, 4, HierConfig(2000))
         flat_root = unsplit.ensure_built()
-        assert flat_root.children == {}
+        assert flat_root.sub_indexes == []
         # a childless root's border arrays hold its ring's distinct lists,
         # each record once, at its own position
         ring_lists = {id(flat_root.filled.at(c)): flat_root.filled.at(c) for c in ring}
@@ -273,11 +273,11 @@ class TestLevels:
     def test_child_lists_hold_the_parent_lists_id_objects(self):
         idx = HierGridIndex(gaussian_points(3000, seed=4), 10, 10, HierConfig(max_bin_records=8))
         for state in levels(idx.ensure_built()):
-            for lst, child in state.children.items():
+            for lst in state.lists:
+                if lst.child is None:
+                    continue
                 parent_ids = {id(rid) for rid in lst.ids}
-                assert all(
-                    id(rid) in parent_ids for sub in child.rendered.registry for rid in sub.ids
-                )
+                assert all(id(rid) in parent_ids for sub in lst.child.lists for rid in sub.ids)
 
 
 class TestTermination:

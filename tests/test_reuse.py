@@ -2,7 +2,7 @@
 served build always equals a fresh build over the same records.
 
 The oracle is a fresh index over an equal PointCollection. Two builds are
-compared level by level: box and size floor bits, every rendered list's bin,
+compared level by level: box and size floor bits, every list's home bin,
 ids and member values (as bytes or repr, so -0.0 differs from 0.0), every
 bin's filled owner, the root's border arrays, and the child levels by bin;
 then leaf boxes as float.hex, and nearest and range answers on a probe set.
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from hiergrid import (
+    BinCoord,
     Extents,
     GridIndex,
     HierConfig,
@@ -57,16 +58,15 @@ def arrays(*arrs):
 
 def level_key(state):
     """Everything a query reads from one level and its subtree, as values."""
-    registry = state.rendered.registry
     box = (state.min_x, state.min_y, state.max_x, state.max_y, state.size_floor)
     return (
         tuple(v.hex() for v in box),
         state.depth,
-        [(c, list(lst.ids), members(lst)) for lst, c in registry.items()],
-        [registry[lst] for lst in state.filled.flat],
+        [(lst.home, list(lst.ids), members(lst)) for lst in state.lists],
+        [lst.home for lst in state.bins],
         arrays(state.ids, state.xs, state.ys, state.border_ids, state.border_xs, state.border_ys),
         state.starts,
-        [(registry[lst], level_key(child)) for lst, child in state.children.items()],
+        [(lst.home, level_key(lst.child)) for lst in state.lists if lst.child is not None],
     )
 
 
@@ -112,14 +112,18 @@ def assert_same_as_fresh(index):
 def levels(state):
     """Every level of a built tree, root first."""
     out = [state]
-    for child in state.children.values():
+    for child in state.sub_indexes:
         out.extend(levels(child))
     return out
 
 
 def children_by_bin(state):
-    registry = state.rendered.registry
-    return {registry[lst]: child for lst, child in state.children.items()}
+    """Each child level by its list's home bin."""
+    return {
+        BinCoord(lst.home % state.nx, lst.home // state.nx): lst.child
+        for lst in state.lists
+        if lst.child is not None
+    }
 
 
 # -- the differential state machine -------------------------------------------
@@ -254,12 +258,12 @@ class TestReuse:
         src = PointCollection(pts)
         idx = HierGridIndex(src, 2, 2, HierConfig(max_bin_records=1))
         before = idx.ensure_built()
-        child = before.children[before.filled.at(resolve_bin(Point2D(0.0, -6.0), before.shape))]
+        child = idx.sub_at(resolve_bin(Point2D(0.0, -6.0), before.shape))
         assert child.max_x.hex() == "0x0.0p+0"
         src.move(1, -0.0, -6.0)
         after = idx.ensure_built()
         assert after.shape.extents == before.shape.extents
-        rebuilt = after.children[after.filled.at(resolve_bin(Point2D(0.0, -6.0), after.shape))]
+        rebuilt = idx.sub_at(resolve_bin(Point2D(0.0, -6.0), after.shape))
         assert rebuilt is not child
         assert rebuilt.max_x.hex() == "-0x0.0p+0"
         assert_same_as_fresh(idx)

@@ -24,9 +24,9 @@ def test_every_entry_point_is_present_and_delegations_are_counted():
         assert tracer.absent == []
         idx = HierGridIndex(gaussian_points(2000, seed=3), 6, 6, HierConfig(max_bin_records=8))
         root = idx.ensure_built()
-        assert root.children
+        assert root.sub_indexes
         # a record of a subdivided list: its home bin delegates
-        lst = next(iter(root.children))
+        lst = next(lst for lst in root.lists if lst.child is not None)
         x, y = root.positions[lst.ids[0]].tolist()
         idx.nearest(Point2D(x, y))
         assert tracer.count("hierarchy.delegate", False) > 0
