@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,7 +28,7 @@ DEGENERATE_AXIS_EPS = 1e-9
 DEGENERATE_AXIS_REL = 2.0**-40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2D:
     """A finite point in world coordinates."""
 
@@ -41,7 +40,7 @@ class Point2D:
             raise ValueError(f"non-finite coordinates: ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extents:
     """Axis-aligned bounding rectangle, min <= max on both axes."""
 
@@ -102,13 +101,16 @@ class BinCoord(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridShape:
     """A regular divisions_x by divisions_y grid laid over some extents."""
 
     divisions_x: int
     divisions_y: int
     extents: Extents
+    # computed once: resolve_bin reads both on every query and rendered record
+    bin_width: float = field(init=False, compare=False, repr=False)
+    bin_height: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.divisions_x < 1 or self.divisions_y < 1:
@@ -118,15 +120,8 @@ class GridShape:
         if self.extents.width <= 0.0 or self.extents.height <= 0.0:
             # callers inflate degenerate extents before building a shape
             raise ValueError("grid extents must have positive width and height")
-
-    # cached: resolve_bin reads both on every query and every rendered record
-    @cached_property
-    def bin_width(self) -> float:
-        return self.extents.width / self.divisions_x
-
-    @cached_property
-    def bin_height(self) -> float:
-        return self.extents.height / self.divisions_y
+        object.__setattr__(self, "bin_width", self.extents.width / self.divisions_x)
+        object.__setattr__(self, "bin_height", self.extents.height / self.divisions_y)
 
     def bin_rect(self, c: BinCoord) -> Extents:
         """World-coordinate rectangle of bin c: edges at min + k * bin_size,

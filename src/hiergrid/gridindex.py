@@ -9,10 +9,11 @@ than _max_bin_records records (unbounded unless HierGridIndex sets it) gets
 a child level over its own records, and the search delegates to it wherever
 it would scan that list, so the flat index is the case with no children.
 
-A rebuild fetches every record once into a positions array and builds the
-tree one depth at a time. A depth's input is the records of all its levels
-(the root alone at depth 0), concatenated level by level, ascending id
-within each level. One pass over it:
+A first build, or one after the record count changed, fetches every record
+into a positions array and builds the tree one depth at a time. A depth's
+input is the records of all its levels (the root alone at depth 0),
+concatenated level by level, ascending id within each level. One pass over
+it:
 
 - bins every record on its own level with axis_bins, render_point's
   arithmetic;
@@ -28,18 +29,24 @@ within each level. One pass over it:
   segmented reduction with tight_extents' bits.
 
 A level is thus a function of its list's ids and their positions, the
-divisions, the bucket size and the root's size floor, and a rebuild takes a
-root child of the previous build as it is, whole subtree and all, when
-nothing it depends on changed:
+divisions, the bucket size and the root's size floor. Any other rebuild
+fetches only the records its source reports moved (all of them for a source
+that cannot tell) into a copy of the previous build's positions, and when
+the root box and size floor keep that build's bits, it repairs the previous
+root rather than building one (otherwise it builds the whole tree from the
+positions it read):
 
-- the record count is the same (append and remove_at rebuild in full);
-- the root box and size floor have the previous build's bits, so every bin
-  and every stop rule is the same;
-- no record whose row's bits changed (so 0.0 to -0.0 counts) left or
-  entered the child's root bin.
+- a record moved when its row's bits changed, so 0.0 to -0.0 counts;
+- the root's bin-sorted arrays drop the moved records and take them back in
+  at their new bins, and only the bins they left or entered get new lists;
+- every other list, child subtree and all, is the previous build's, save
+  that a long leaf list is sliced anew from the new arrays;
+- only the empty bins whose nearest record can have changed are filled
+  again;
+- the depth pass runs from depth 1 over the new lists' children alone.
 
-A reused child joins depth 1 already built: its records skip every later
-depth. A fresh index and a root without children compare nothing.
+The previous build is never mutated, and no level of the new one views its
+arrays.
 
 A nearest query keeps one running best across all levels. A level visit
 works on the level's own slots: it finds the home bin with _axis_bin, the
@@ -307,9 +314,10 @@ class _BuiltState:
 
     Every level of a build shares the root's size floor and holds root
     record ids. Only the root keeps the positions array, so a child level
-    that a later build reuses keeps no older build's array alive. reused,
-    on the root only, maps a flat bin to the (ids, child level) this build
-    took as it was from the previous one. Only a root level without
+    that a later build reuses keeps no older build's array alive. On the
+    root only, owners holds the record filling each empty bin (-1 where a
+    bin is occupied), and reused lists the child levels this build took as
+    they were from the previous one. Only a root level without
     children holds the border arrays, in ascending id order, which its flat
     border scan reads; every other level walks its index's border ring
     through bins.
@@ -325,7 +333,7 @@ class _BuiltState:
     __slots__ = (
         "shape", "bins", "lists", "positions", "depth", "version", "size_floor",
         "border_ids", "border_xs", "border_ys", "reused", "min_x", "min_y", "max_x",
-        "max_y", "bin_w", "bin_h", "nx", "ny", "ids", "xs", "ys", "starts",
+        "max_y", "bin_w", "bin_h", "nx", "ny", "ids", "xs", "ys", "starts", "owners",
     )
 
     def __init__(self, shape: GridShape, depth: int, size_floor: float) -> None:
@@ -339,7 +347,7 @@ class _BuiltState:
         self.border_ids: np.ndarray | None = None
         self.border_xs: np.ndarray | None = None
         self.border_ys: np.ndarray | None = None
-        self.reused: dict[int, tuple[list[RecordId], _BuiltState]] | None = None
+        self.reused: list[_BuiltState] | None = None
         ext = shape.extents
         self.min_x, self.min_y = ext.min.x, ext.min.y
         self.max_x, self.max_y = ext.max.x, ext.max.y
@@ -349,6 +357,7 @@ class _BuiltState:
         self.xs: np.ndarray | None = None
         self.ys: np.ndarray | None = None
         self.starts: list[int] | None = None
+        self.owners: np.ndarray | None = None
 
     @property
     def rendered(self) -> RenderedGrid:
@@ -398,34 +407,44 @@ def _bits(ext: Extents, floor: float) -> bytes:
     return struct.pack("5d", ext.min.x, ext.min.y, ext.max.x, ext.max.y, floor)
 
 
-def _reusable(
-    old: _BuiltState, positions: np.ndarray, extents: Extents, floor: float
-) -> dict[int, tuple[list[RecordId], _BuiltState]]:
-    """The root children of the previous build `old` that a root over
-    `positions`, `extents` and `floor` would build again unchanged, as
-    {flat bin: (the old list's ids, child level)}; `positions` has as many
-    rows as old's.
+def _flat_bins(state: _BuiltState, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The flat bin rendering puts each in-box point (xs, ys) in on level
+    state."""
+    flat = axis_bins(ys, state.min_y, state.bin_h, state.ny) * state.nx
+    flat += axis_bins(xs, state.min_x, state.bin_w, state.nx)
+    return flat
 
-    Nothing is reusable unless the root box and floor have old's bits: then
-    every record's root bin and every stop rule is the same. A record moved
-    when its row's bits differ, so a move from 0.0 to -0.0 counts. A bin
-    that no moved record left or entered holds the same records at the same
-    bits, so its child level is the one old built.
+
+def _nearest(xs, ys, first, count, cxs, cys) -> np.ndarray:
+    """For each center (cxs[k], cys[k]), the index of the first (so lowest
+    id) nearest of the count[k] points (xs, ys) from first[k] on; first
+    does not decrease.
+
+    Centers with equal counts are stacked into one matrix, at most
+    _GAP_FILL_BLOCK distances (or one row) at a time; squared distances use
+    _scan_list's arithmetic, so ties resolve as a query scan would.
     """
-    if _bits(extents, floor) != _bits(old.shape.extents, old.size_floor):
-        return {}
-    before = old.positions
-    rows = np.flatnonzero((positions.view(np.uint64) != before.view(np.uint64)).any(axis=1))
-    at = np.concatenate((before[rows], positions[rows]))
-    nx = old.nx
-    bins = axis_bins(at[:, 1], old.min_y, old.bin_h, old.ny) * nx
-    bins += axis_bins(at[:, 0], old.min_x, old.bin_w, nx)
-    touched = set(bins.tolist())
-    return {
-        lst.home: (lst.ids, lst.child)
-        for lst in old.lists
-        if lst.child is not None and lst.home not in touched
-    }
+    by_count = np.argsort(count, kind="stable")
+    heads = np.flatnonzero(np.diff(count[by_count], prepend=-1)).tolist()
+    owners = np.empty(len(count), dtype=np.intp)
+    for lo, hi in zip(heads, [*heads[1:], len(count)]):
+        c = int(count[by_count[lo]])
+        step = max(1, _GAP_FILL_BLOCK // c)
+        for k in range(lo, hi, step):
+            rows = by_count[k : min(k + step, hi)]
+            starts = first[rows]
+            # rows of one count ascend by first, so equal first and last
+            # starts mean one run: it broadcasts against every row, without
+            # a gather
+            if starts[0] == starts[-1]:
+                rec = slice(starts[0], starts[0] + c)
+            else:
+                rec = starts[:, None] + np.arange(c)
+            dx = xs[rec] - cxs[rows, None]
+            dy = ys[rec] - cys[rows, None]
+            d2 = dx * dx + dy * dy
+            owners[rows] = starts + d2.argmin(axis=1)
+    return owners
 
 
 def _gaps_sq(v: float, lo: float, size: float, n: int) -> list[float]:
@@ -439,6 +458,18 @@ def _gaps_sq(v: float, lo: float, size: float, n: int) -> list[float]:
         out.append(d * d)
         x0 = x1
     return out
+
+
+def _root_list(root: _BuiltState, home: int, ids: list[RecordId] | None = None) -> BinList:
+    """The list at bin home of a repaired root, frozen from root's
+    bin-sorted arrays; ids, when given, is its ids list."""
+    s, e = root.starts[home], root.starts[home + 1]
+    cut = (root.ids[s:e], root.xs[s:e], root.ys[s:e])
+    lst = BinList(cut[0].tolist() if ids is None else ids, home)
+    # only a short list's triples take Python floats
+    floats = (cut[1].tolist(), cut[2].tolist()) if e - s < _VECTOR_SCAN_MIN else ((), ())
+    lst.freeze((*cut, *floats), 0, e - s, False)
+    return lst
 
 
 def _scan_list(lst: BinList, qx: float, qy: float, best: _Best) -> float:
@@ -539,7 +570,7 @@ class GridIndex:
         def count(s: _BuiltState) -> int:
             return 1 + sum(count(c) for c in s.sub_indexes)
 
-        reused = sum(count(child) for _, child in (state.reused or {}).values())
+        reused = sum(count(child) for child in state.reused or ())
         return count(state) - reused, reused
 
     def leaf_occupancies(self) -> list[tuple[Extents, tuple[RecordId, ...]]]:
@@ -569,14 +600,14 @@ class GridIndex:
             return self._state
 
     def rebuild(self) -> None:
-        """Fetch every record once, build the tree one depth at a time and
-        swap its root in.
+        """Read the records, build or repair the root, build the tree one
+        depth at a time and swap its root in.
 
-        When this replaces a build with children over as many records, the
-        root box and size floor come out with that build's bits, and a root
-        child's bin holds no moved record (one whose row's bits differ from
-        the previous positions array's), the child level is taken as it is;
-        see _reusable. Everything else is built from the fetched positions.
+        When this replaces a build over as many records, it fetches only the
+        records moved_since reports (all of them when it reports None) into
+        a copy of that build's positions, and if the root box and size floor
+        keep that build's bits, it repairs that build's root (_repair).
+        Otherwise it builds the whole tree from the positions it read.
 
         The root level records the source version read before fetching, so
         a mutation that lands during the rebuild triggers the next one.
@@ -586,29 +617,39 @@ class GridIndex:
         n = source.record_count
         if n < 1:
             raise EmptySourceError("cannot build an index over an empty source")
+        old = self._state
+        if old is not None and len(old.positions) != n:
+            old = None
+        moved = None if old is None else source.moved_since(old.version)
         scratch = source.new_scratch()
         fetch = source.fetch
         # one float list per axis, written into the array a column at a
         # time: a numpy write per value costs more than the fetch itself
         xs: list[float] = []
         ys: list[float] = []
-        for rid in range(n):
+        for rid in range(n) if moved is None else moved.tolist():
             rec = fetch(rid, scratch)
             xs.append(rec.x)
             ys.append(rec.y)
-        positions = np.empty((n, 2), dtype=np.float64)
-        positions[:, 0] = xs
-        positions[:, 1] = ys
+        if moved is None:
+            positions, moved = np.empty((n, 2), dtype=np.float64), slice(None)
+        else:
+            positions = old.positions.copy()
+        positions[moved, 0] = xs
+        positions[moved, 1] = ys
         extents = tight_extents(positions)
         floor = default_smallest_dimension(extents)
         root = _BuiltState(GridShape(self.divisions_x, self.divisions_y, extents), 0, floor)
         root.positions = positions
-        old = self._state
-        if old is not None and len(old.positions) == n and old.sub_indexes:
-            root.reused = _reusable(old, positions, extents, floor)
-        # one int object per record, which the lists of every depth share
-        ints = np.arange(n).astype(object)
-        depth = _Depth([root], np.array([0, n]), np.arange(n), positions[:, 0], positions[:, 1])
+        if old is not None and _bits(extents, floor) == _bits(old.shape.extents, old.size_floor):
+            depth = self._on_after_rebuilt(self._repair(old, root))
+            # a repair builds few lists: they need not share int objects
+            ints = np.arange(n)
+        else:
+            xs, ys = positions[:, 0], positions[:, 1]
+            depth = _Depth([root], np.array([0, n]), np.arange(n), xs, ys)
+            # one int object per record, which the lists of every depth share
+            ints = np.arange(n).astype(object)
         while depth is not None:
             self._render_records(depth, ints)
             ids, xs, ys = depth.rows
@@ -623,6 +664,85 @@ class GridIndex:
         self._prepare_border(root)
         root.version = version
         self._state = root
+
+    def _repair(self, old: _BuiltState, root: _BuiltState) -> _Depth:
+        """Fill root, whose positions, box and size floor are those of the
+        previous root `old` but for the moved records (rows whose bits
+        differ), from old without mutating it, and return subdivision's
+        depth-0 input: the new lists of the bins a moved record left or
+        entered, in bin order.
+
+        The bin-sorted arrays drop the moved records and take them back in
+        at their new bins, ascending id within each. Every other list is
+        old's, child subtree and all, save that a long leaf list is sliced
+        anew from root's arrays; the lists are sorted again by first id,
+        which is first-seen order. An empty bin keeps old's owner unless it
+        was not empty or a moved record, the owner included, now lies at
+        least as close to its center as the owner does; those bins are
+        filled again with _fill_gaps' arithmetic.
+        """
+        pos, before = root.positions, old.positions
+        n, nx, nb = len(pos), old.nx, old.nx * old.ny
+        ne = pos.view(np.uint64) != before.view(np.uint64)
+        rows = np.flatnonzero(ne[:, 0] | ne[:, 1])
+        was = _flat_bins(old, before[rows, 0], before[rows, 1])
+        now = _flat_bins(old, pos[rows, 0], pos[rows, 1])
+        # each record's key is bin * n + id, so key order is bin-sorted order
+        key = np.repeat(np.arange(nb) * n, np.diff(old.starts)) + old.ids
+        moved = np.zeros(n, dtype=bool)
+        moved[rows] = True
+        stay = ~moved[old.ids]
+        key = np.concatenate((key[stay], now * n + rows))
+        order = np.argsort(key, kind="stable")  # two sorted runs: one merge
+        key = key[order]
+        root.ids, root.xs, root.ys = (
+            np.concatenate((a[stay], b))[order]
+            for a, b in ((old.ids, rows), (old.xs, pos[rows, 0]), (old.ys, pos[rows, 1]))
+        )
+        starts = np.searchsorted(key, np.arange(nb + 1) * n)
+        root.starts = starts.tolist()
+        sizes = np.diff(starts)
+        touched = set(was.tolist()) | set(now.tolist())
+        homes = sorted(b for b in touched if sizes[b])
+        new = [_root_list(root, b) for b in homes]
+        kept = [
+            _root_list(root, lst.home, lst.ids) if lst.ids_arr is not None else lst
+            for lst in old.lists
+            if lst.home not in touched
+        ]
+        root.reused = [lst.child for lst in kept if lst.child is not None]
+        root.lists = sorted(kept + new, key=lambda lst: lst.ids[0])
+        bins = [None] * nb
+        for lst in root.lists:
+            bins[lst.home] = lst
+        # gap fill: the owner of a bin empty before and after changes only if
+        # a moved record is now at least as close, the owner itself included
+        gaps = np.flatnonzero(sizes == 0)
+        owners = old.owners[gaps]  # -1 where the bin was occupied
+        cx = old.min_x + (gaps % nx + 0.5) * old.bin_w
+        cy = old.min_y + (gaps // nx + 0.5) * old.bin_h
+        dx, dy = pos[owners, 0] - cx, pos[owners, 1] - cy
+        mx, my = pos[rows, 0] - cx[:, None], pos[rows, 1] - cy[:, None]
+        closest = (mx * mx + my * my).min(axis=1, initial=math.inf)
+        redo = (owners < 0) | (closest <= dx * dx + dy * dy)
+        k = int(redo.sum())
+        owners[redo] = _nearest(
+            pos[:, 0], pos[:, 1], np.zeros(k, dtype=np.intp), np.full(k, n), cx[redo], cy[redo]
+        )
+        root.owners = np.full(nb, -1)
+        root.owners[gaps] = owners
+        fill = _flat_bins(root, pos[owners, 0], pos[owners, 1])
+        for b, f in zip(gaps.tolist(), fill.tolist()):
+            bins[b] = bins[f]
+        root.bins = bins
+        depth = _Depth([root], np.array([0, n]), None, None, None)
+        depth.lists, depth.keys = new, np.array(homes, dtype=np.intp)
+        depth.cuts = [0, *np.cumsum(sizes[homes]).tolist()]
+        picked = np.zeros(nb, dtype=bool)
+        picked[homes] = True
+        picked = np.repeat(picked, sizes)
+        depth.rows = (root.ids[picked], root.xs[picked], root.ys[picked])
+        return depth
 
     def _render_records(self, depth: _Depth, ints: np.ndarray) -> None:
         """Render every record of the depth on its own level.
@@ -695,30 +815,15 @@ class GridIndex:
         cys = y0[level] + (b // nx + 0.5) * bh[level]
         first = depth.offsets[level]
         count = depth.offsets[level + 1] - first
-        by_count = np.argsort(count, kind="stable")
-        heads = np.flatnonzero(np.diff(count[by_count], prepend=-1)).tolist()
-        owners = np.empty(len(empty), dtype=np.intp)
-        for lo, hi in zip(heads, [*heads[1:], len(empty)]):
-            c = int(count[by_count[lo]])
-            step = max(1, _GAP_FILL_BLOCK // c)
-            for k in range(lo, hi, step):
-                rows = by_count[k : min(k + step, hi)]
-                starts = first[rows]
-                # rows of one count ascend by level, so equal first and last
-                # starts mean one level: its records broadcast against every
-                # row, without a gather
-                if starts[0] == starts[-1]:
-                    rec = slice(starts[0], starts[0] + c)
-                else:
-                    rec = starts[:, None] + np.arange(c)
-                dx = depth.xs[rec] - cxs[rows, None]
-                dy = depth.ys[rec] - cys[rows, None]
-                d2 = dx * dx + dy * dy
-                owners[rows] = starts + d2.argmin(axis=1)
+        owners = _nearest(depth.xs, depth.ys, first, count, cxs, cys)
         filled = grid.copy()
         filled[empty] = grid[level * nb + depth.flat[owners]]
         for k, lv in enumerate(depth.levels):
             lv.bins = filled[k * nb : (k + 1) * nb].tolist()
+        root = depth.levels[0]
+        if not root.depth:  # the root's records are its ids, in order
+            root.owners = np.full(nb, -1)
+            root.owners[empty] = owners
 
     def _on_after_rebuilt(self, depth: _Depth) -> _Depth | None:
         """Give every list of more than _max_bin_records records a child
@@ -727,9 +832,8 @@ class GridIndex:
         return the next depth: those lists' records in grouped order, or
         None when no list got a new child.
 
-        A list whose bin the root reuses takes the previous build's child
-        and ids list instead. A list with a child drops its members: queries
-        delegate to the child.
+        A list with a child drops its members: queries delegate to the
+        child.
         """
         levels, lists, cuts = depth.levels, depth.lists, depth.cuts
         nb = self.divisions_x * self.divisions_y
@@ -738,36 +842,27 @@ class GridIndex:
         sizes = np.diff(cuts)
         fits = np.array([lv.bin_w > floor and lv.bin_h > floor for lv in levels])
         split = (sizes > self._max_bin_records) & fits[level_of]
-        children: dict[int, _BuiltState] = {}
-        reused = levels[0].reused  # the root's; None on every child level
-        if reused:
-            for r in np.flatnonzero(split).tolist():
-                kept = reused.get(int(depth.keys[r]))
-                if kept is not None:
-                    lists[r].ids, children[r] = kept
-                    split[r] = False
         runs = np.flatnonzero(split)
         offsets = np.concatenate(([0], np.cumsum(sizes[runs])))
         ids, xs, ys = (a[np.repeat(split, sizes)] for a in depth.rows)
         boxes = segment_extents(xs, ys, offsets)
-        new = []
+        new, children = [], []
         for r, k, box in zip(runs.tolist(), level_of[runs].tolist(), boxes):
             parent = levels[k]
             if box != parent.shape.extents:
                 shape = GridShape(parent.nx, parent.ny, box)
-                children[r] = _BuiltState(shape, parent.depth + 1, floor)
+                lst = lists[r]
+                lst.child = _BuiltState(shape, parent.depth + 1, floor)
+                lst.ids_arr = lst.xs = lst.ys = lst.triples = None
                 new.append(r)
-        for r, child in children.items():
-            lst = lists[r]
-            lst.child = child
-            lst.ids_arr = lst.xs = lst.ys = lst.triples = None
+                children.append(lst.child)
         if not new:
             return None
         if len(new) < len(runs):  # a box equal to its level's stops its list
             keep = np.isin(runs, new)
             ids, xs, ys = (a[np.repeat(keep, np.diff(offsets))] for a in (ids, xs, ys))
             offsets = np.concatenate(([0], np.cumsum(sizes[runs[keep]])))
-        return _Depth([children[r] for r in new], offsets, ids, xs, ys)
+        return _Depth(children, offsets, ids, xs, ys)
 
     def _prepare_border(self, state: _BuiltState) -> None:
         """On a root level without children, gather the records of the

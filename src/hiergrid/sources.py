@@ -40,16 +40,17 @@ class Record:
 
 class IndexableSource(ABC):
     """What a collection must expose to be indexable: record_count, version
-    and fetch, nothing else.
+    and fetch, and optionally moved_since.
 
-    An index reads every record through fetch and derives everything else,
-    its grid's box included, from the positions it read. The version is the
-    only contract between a source and its indexes: it increases with every
-    mutation, an index records the version it read before fetching, and it
-    rebuilds whenever the source's version differs from that one. The
-    source keeps no state about its indexes, so any number of them can
-    share it, each rebuilding on its own. Reads may be concurrent with each
-    other but not with mutation.
+    An index reads the records through fetch and derives everything else,
+    its grid's box included, from the positions it read: every record on a
+    first build or after the record count changed, else only those
+    moved_since reports. The version is the only contract between a source
+    and its indexes: it increases with every mutation, an index records the
+    version it read before fetching, and it rebuilds whenever the source's
+    version differs from that one. The source keeps no state about its
+    indexes, so any number of them can share it, each rebuilding on its
+    own. Reads may be concurrent with each other but not with mutation.
     """
 
     @property
@@ -69,9 +70,19 @@ class IndexableSource(ABC):
         """Scratch instance compatible with this source's fetch()."""
         return Record()
 
+    def moved_since(self, version: int) -> np.ndarray | None:
+        """Ascending ids of the records moved since `version`, or None when
+        that is unknown: here always, so an index reads every record."""
+        return None
+
 
 class PointCollection(IndexableSource):
-    """In-memory 2D point records backed by a float64 array."""
+    """In-memory 2D point records backed by a float64 array.
+
+    Each row carries the version of its last move, so moved_since is one
+    compare; an append or remove_at renumbers rows, and moved_since across
+    one returns None.
+    """
 
     def __init__(self, points: Iterable[tuple[float, float]] = ()) -> None:
         pts = np.asarray(list(points), dtype=np.float64)
@@ -83,6 +94,8 @@ class PointCollection(IndexableSource):
         self._pts = pts
         self._version = 0
         self._extents: Extents | None = None
+        self._stamps = np.zeros(len(pts), dtype=np.int64)
+        self._reshaped = 0  # the version of the last append or remove_at
 
     @property
     def record_count(self) -> int:
@@ -117,26 +130,36 @@ class PointCollection(IndexableSource):
         scratch.y = pts.item(rid, 1)
         return scratch
 
+    def moved_since(self, version: int) -> np.ndarray | None:
+        if version < self._reshaped:
+            return None
+        return np.flatnonzero(self._stamps > version)
+
     def _mutated(self) -> None:
         self._version += 1
         self._extents = None
 
     def append(self, x: float, y: float) -> RecordId:
         self._pts = np.vstack([self._pts, _finite_row(x, y)])
+        self._stamps = np.append(self._stamps, 0)
         self._mutated()
+        self._reshaped = self._version
         return len(self._pts) - 1
 
     def remove_at(self, rid: RecordId) -> None:
         if not 0 <= rid < len(self._pts):
             raise IndexError(f"record id {rid} out of range")
         self._pts = np.delete(self._pts, rid, axis=0)
+        self._stamps = np.delete(self._stamps, rid)
         self._mutated()
+        self._reshaped = self._version
 
     def move(self, rid: RecordId, x: float, y: float) -> None:
         if not 0 <= rid < len(self._pts):
             raise IndexError(f"record id {rid} out of range")
         self._pts[rid] = _finite_row(x, y)
         self._mutated()
+        self._stamps[rid] = self._version
 
 
 def _check_domain(pts: np.ndarray) -> None:

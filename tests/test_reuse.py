@@ -1,5 +1,6 @@
-"""A rebuild reuses every root child whose records did not move, and the
-served build always equals a fresh build over the same records.
+"""A rebuild repairs the previous root and reuses every root child whose
+records did not move, and the served build always equals a fresh build over
+the same records.
 
 The oracle is a fresh index over an equal PointCollection. Two builds are
 compared level by level: box and size floor bits, every list's home bin,
@@ -10,6 +11,7 @@ then leaf boxes as float.hex, and nearest and range answers on a probe set.
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -126,6 +128,37 @@ def children_by_bin(state):
     }
 
 
+def interior_record(source, ext):
+    """The record nearest the center of the box ext."""
+    c = np.array([ext.center.x, ext.center.y])
+    return int(((source.positions - c) ** 2).sum(axis=1).argmin())
+
+
+class MovesDuringFetch(PointCollection):
+    """Moves record 0 onto record 1 while the record armed names is being
+    fetched, then disarms."""
+
+    armed = None
+
+    def fetch(self, rid, scratch):
+        if rid == self.armed:
+            self.armed = None
+            self.move(0, *self._pts[1].tolist())
+        return super().fetch(rid, scratch)
+
+
+class CountsFetches(PointCollection):
+    """Keeps the ids it was asked to fetch, in order."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.fetched = []
+
+    def fetch(self, rid, scratch):
+        self.fetched.append(rid)
+        return super().fetch(rid, scratch)
+
+
 # -- the differential state machine -------------------------------------------
 
 
@@ -153,7 +186,9 @@ def mutations(dx, dy, bucket, n_min, n_max):
             the record's own position with the sign of a zero flipped, or a
             point near the box."""
             pos = self.source.positions
-            ext = self.index.shape.extents
+            # the box of the records now: the index's box once built, and
+            # read without building, so moves can pile up between checks
+            ext = self.source.data_extents
             x, y = pos[rid].tolist()
             kind = data.draw(st.sampled_from(["duplicate", "extreme", "zero", "near"]))
             if kind == "duplicate":
@@ -178,6 +213,24 @@ def mutations(dx, dy, bucket, n_min, n_max):
         def move(self, data):
             rid = data.draw(st.integers(0, self.source.record_count - 1))
             self.source.move(rid, *self.target(data, rid))
+
+        @rule(data=st.data())
+        def move_many(self, data):
+            """2 to 5 moves before the next check; a move may put its record
+            back on the bits the index last read, or move a record that
+            fills an empty root bin."""
+            built = self.index.ensure_built()  # already current: no rebuild
+            read = self.source.positions.copy()
+            owners = built.owners[built.owners >= 0].tolist()
+            for _ in range(data.draw(st.integers(2, 5))):
+                kind = data.draw(st.sampled_from(["any", "back", "owner"]))
+                if kind == "owner" and owners:
+                    rid = data.draw(st.sampled_from(owners))
+                else:
+                    rid = data.draw(st.integers(0, self.source.record_count - 1))
+                self.source.move(rid, *self.target(data, rid))
+                if kind == "back":
+                    self.source.move(rid, *read[rid].tolist())
 
         @rule(data=st.data())
         def append(self, data):
@@ -269,30 +322,98 @@ class TestReuse:
         assert_same_as_fresh(idx)
 
     def test_mutation_during_a_reusing_rebuild_is_seen_by_next_query(self):
-        class MovesDuringFetch(PointCollection):
-            """Moves record 0 while the last record is being fetched, once armed."""
-
-            armed = False
-
-            def fetch(self, rid, scratch):
-                if self.armed and rid == self.record_count - 1:
-                    self.armed = False
-                    self.move(0, *self._pts[1].tolist())
-                return super().fetch(rid, scratch)
-
+        # a repair reads only the moved record 2: the trap is set on it
         src = MovesDuringFetch(gaussian_points(1000, seed=9).positions)
         idx = HierGridIndex(src, 6, 6, HierConfig(max_bin_records=8))
         idx.ensure_built()
-        src.armed = True
+        src.armed = 2
         src.move(2, *src.positions[3].tolist())
         built = idx.ensure_built()
-        # the move of record 0 landed after it was read: the build trails
+        assert src.armed is None
+        # the move of record 0 landed after its row was read: the build trails
         assert built.version < src.version
         assert idx.level_counts[1] > 0
         res = idx.nearest(Point2D(*src.positions[1].tolist()))
         assert res.distance == 0.0 and res.record in (0, 1)
         assert idx.ensure_built().version == src.version
         assert idx.level_counts[1] > 0
+        assert_same_as_fresh(idx)
+
+    def test_mutation_during_a_full_rebuild_is_seen_by_next_query(self):
+        # an append changes the record count: every record is read, and the
+        # trap is set on the last one
+        src = MovesDuringFetch(gaussian_points(1000, seed=9).positions)
+        idx = HierGridIndex(src, 6, 6, HierConfig(max_bin_records=8))
+        idx.ensure_built()
+        src.append(*src.positions[3].tolist())
+        src.armed = src.record_count - 1
+        built = idx.ensure_built()
+        assert src.armed is None
+        assert built.version < src.version
+        res = idx.nearest(Point2D(*src.positions[1].tolist()))
+        assert res.distance == 0.0 and res.record in (0, 1)
+        assert idx.ensure_built().version == src.version
+        assert idx.level_counts[1] > 0
+        assert_same_as_fresh(idx)
+
+    def test_a_repair_fills_again_a_bin_a_tie_or_an_emptied_bin_changes(self):
+        # 4x4 bins of side 2 over [0, 8]^2: bin (1, 1) is empty and record 4,
+        # 1.5 below its center (3, 3), fills it
+        src = PointCollection([(0.0, 0.0), (8.0, 8.0), (0.0, 8.0), (8.0, 0.0), (3.0, 1.5)])
+        idx = GridIndex(src, 4, 4)
+        assert idx.filled.at(BinCoord(1, 1)).ids == [4]
+        # record 2 moves 1.5 above the center: the tie goes to the lower id
+        src.move(2, 3.0, 4.5)
+        assert idx.filled.at(BinCoord(1, 1)).ids == [2]
+        assert_same_as_fresh(idx)
+        # record 4 leaves bin (1, 0), which is then empty and filled anew
+        src.move(4, 7.0, 7.0)
+        assert idx.filled.at(BinCoord(1, 0)).ids == [0]
+        assert_same_as_fresh(idx)
+
+    def test_a_repair_fetches_only_the_moved_record(self):
+        src = CountsFetches(gaussian_points(5000, seed=42).positions)
+        idx = HierGridIndex(src, 10, 10, HierConfig(max_bin_records=8))
+        idx.ensure_built()
+        assert src.fetched == list(range(5000))
+        ext = idx.shape.extents
+        rid = interior_record(src, ext)
+        src.fetched = []
+        src.move(rid, ext.center.x, ext.center.y)
+        idx.ensure_built()
+        assert src.fetched == [rid]
+        assert idx.level_counts[1] > 0
+        src.fetched = []
+        src.append(ext.center.x, ext.center.y)
+        idx.ensure_built()
+        assert src.fetched == list(range(5001))
+        assert_same_as_fresh(idx)
+
+    @pytest.mark.parametrize("bucket", [None, 8])
+    def test_a_repair_leaves_the_previous_root_as_it_was(self, bucket):
+        src = gaussian_points(3000, seed=11)
+        idx = new_index(src, 10, 10, bucket)
+        before = idx.ensure_built()
+        key = level_key(before)
+        ext = before.shape.extents
+        for rid in (interior_record(src, ext), 17):
+            src.move(rid, *src.positions[rid + 1].tolist())
+        assert idx.shape.extents == ext  # the box held: a repair
+        assert level_key(before) == key
+        assert_same_as_fresh(idx)
+
+    @pytest.mark.parametrize("dims, bucket", [(8, None), (10, 8)])
+    def test_a_repair_keeps_no_previous_root_array_alive(self, dims, bucket):
+        src = gaussian_points(5000, seed=4)
+        idx = new_index(src, dims, dims, bucket)
+        before = idx.ensure_built()
+        old = [weakref.ref(a) for a in (before.positions, before.ids, before.xs, before.ys)]
+        ext = before.shape.extents
+        rid = interior_record(src, ext)
+        del before
+        src.move(rid, *src.positions[rid + 1].tolist())
+        assert idx.shape.extents == ext  # the box held: a repair
+        assert [ref() for ref in old] == [None] * 4
         assert_same_as_fresh(idx)
 
     def test_any_source_reuses(self):

@@ -143,6 +143,32 @@ class TestPointCollection:
         assert src.data_extents.max == Point2D(50.0, 10.0)
         assert src.data_extents.min == Point2D(0.0, -5.0)
 
+    def test_moved_since_lists_the_moved_ids(self):
+        src = pc((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+        start = src.version
+        assert src.moved_since(start).tolist() == []
+        src.move(2, 5.0, 5.0)
+        middle = src.version
+        src.move(0, 2.0, 2.0)
+        assert src.moved_since(start).tolist() == [0, 2]
+        assert src.moved_since(middle).tolist() == [0]
+        assert src.moved_since(src.version).tolist() == []
+
+    @pytest.mark.parametrize("reshape", ["append", "remove_at"])
+    def test_moved_since_is_unknown_across_an_append_or_remove(self, reshape):
+        src = pc((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+        start = src.version
+        src.move(1, 5.0, 5.0)
+        if reshape == "append":
+            src.append(4.0, 4.0)
+        else:
+            src.remove_at(0)
+        after = src.version
+        assert src.moved_since(start) is None
+        assert src.moved_since(after).tolist() == []
+        src.move(1, 6.0, 6.0)
+        assert src.moved_since(after).tolist() == [1]
+
 
 class TestComputeExtents:
     """data_extents: the tight, degeneracy-inflated box an index grids over."""
