@@ -21,7 +21,6 @@ from .sources import (
     EmptySourceError,
     IndexableSource,
     PointCollection,
-    Record,
     RecordId,
     SubGridSource,
     load_points,
@@ -78,7 +77,6 @@ __all__ = [
     "PointCollection",
     "QuadLeaf",
     "QueryResult",
-    "Record",
     "RecordId",
     "RenderedGrid",
     "SubGridSource",

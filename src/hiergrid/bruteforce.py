@@ -40,21 +40,15 @@ class OracleResult:
 class BruteForceIndex:
     """Linear-scan 'index' over a source's positions.
 
-    Positions are pulled once through the fetch contract; queries are plain
-    full scans. Intentionally unoptimized beyond vectorization.
+    Positions are read once, in one fetch(0, out) call into an array the
+    oracle owns; queries are plain full scans. Intentionally unoptimized
+    beyond vectorization.
     """
 
     def __init__(self, source: IndexableSource) -> None:
-        n = source.record_count
-        xs = np.empty(n, dtype=np.float64)
-        ys = np.empty(n, dtype=np.float64)
-        scratch = source.new_scratch()
-        for rid in range(n):
-            rec = source.fetch(rid, scratch)
-            xs[rid] = rec.x
-            ys[rid] = rec.y
-        self._xs = xs
-        self._ys = ys
+        positions = np.empty((source.record_count, 2), dtype=np.float64)
+        source.fetch(0, positions)
+        self._xs, self._ys = positions.T.copy()  # one contiguous row per axis
 
     @property
     def record_count(self) -> int:

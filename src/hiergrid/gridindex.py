@@ -9,11 +9,11 @@ than _max_bin_records records (unbounded unless HierGridIndex sets it) gets
 a child level over its own records, and the search delegates to it wherever
 it would scan that list, so the flat index is the case with no children.
 
-A first build, or one after the record count changed, fetches every record
-into a positions array and builds the tree one depth at a time. A depth's
-input is the records of all its levels (the root alone at depth 0),
-concatenated level by level, ascending id within each level. One pass over
-it:
+Every rebuild reads all the records' positions in one fetch(0, positions)
+call into an array it owns. A first build, or one after the record count
+changed, builds the tree one depth at a time. A depth's input is the
+records of all its levels (the root alone at depth 0), concatenated level
+by level, ascending id within each level. One pass over it:
 
 - bins every record on its own level with axis_bins, render_point's
   arithmetic;
@@ -29,12 +29,10 @@ it:
   segmented reduction with tight_extents' bits.
 
 A level is thus a function of its list's ids and their positions, the
-divisions, the bucket size and the root's size floor. Any other rebuild
-fetches only the records its source reports moved (all of them for a source
-that cannot tell) into a copy of the previous build's positions, and when
-the root box and size floor keep that build's bits, it repairs the previous
-root rather than building one (otherwise it builds the whole tree from the
-positions it read):
+divisions, the bucket size and the root's size floor. Any other rebuild,
+when the root box and size floor keep the previous build's bits, repairs
+the previous root rather than building one (otherwise it builds the whole
+tree from the positions it read):
 
 - a record moved when its row's bits changed, so 0.0 to -0.0 counts;
 - the root's bin-sorted arrays drop the moved records and take them back in
@@ -603,11 +601,12 @@ class GridIndex:
         """Read the records, build or repair the root, build the tree one
         depth at a time and swap its root in.
 
-        When this replaces a build over as many records, it fetches only the
-        records moved_since reports (all of them when it reports None) into
-        a copy of that build's positions, and if the root box and size floor
-        keep that build's bits, it repairs that build's root (_repair).
-        Otherwise it builds the whole tree from the positions it read.
+        Every record's position is read in one fetch(0, positions) call
+        into an array this build owns. When this replaces a build over as
+        many records and the root box and size floor keep that build's
+        bits, it repairs that build's root (_repair), which finds the moved
+        records by comparing bits. Otherwise it builds the whole tree from
+        the positions it read.
 
         The root level records the source version read before fetching, so
         a mutation that lands during the rebuild triggers the next one.
@@ -617,26 +616,13 @@ class GridIndex:
         n = source.record_count
         if n < 1:
             raise EmptySourceError("cannot build an index over an empty source")
+        # the index owns this array: a view of the source's live one would
+        # make the repair's diff compare an array with itself
+        positions = np.empty((n, 2), dtype=np.float64)
+        source.fetch(0, positions)
         old = self._state
         if old is not None and len(old.positions) != n:
             old = None
-        moved = None if old is None else source.moved_since(old.version)
-        scratch = source.new_scratch()
-        fetch = source.fetch
-        # one float list per axis, written into the array a column at a
-        # time: a numpy write per value costs more than the fetch itself
-        xs: list[float] = []
-        ys: list[float] = []
-        for rid in range(n) if moved is None else moved.tolist():
-            rec = fetch(rid, scratch)
-            xs.append(rec.x)
-            ys.append(rec.y)
-        if moved is None:
-            positions, moved = np.empty((n, 2), dtype=np.float64), slice(None)
-        else:
-            positions = old.positions.copy()
-        positions[moved, 0] = xs
-        positions[moved, 1] = ys
         extents = tight_extents(positions)
         floor = default_smallest_dimension(extents)
         root = _BuiltState(GridShape(self.divisions_x, self.divisions_y, extents), 0, floor)

@@ -18,39 +18,21 @@ class EmptySourceError(ValueError):
     """Raised when an operation needs at least one record and has none."""
 
 
-class Record:
-    """Mutable scratch record reused across fetch() calls.
-
-    The base contract carries position only; richer sources may subclass and
-    override the source's new_scratch() to carry payloads along.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: float = 0.0, y: float = 0.0) -> None:
-        self.x = x
-        self.y = y
-
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Record({self.x}, {self.y})"
-
-
 class IndexableSource(ABC):
     """What a collection must expose to be indexable: record_count, version
-    and fetch, and optionally moved_since.
+    and fetch.
 
-    An index reads the records through fetch and derives everything else,
-    its grid's box included, from the positions it read: every record on a
-    first build or after the record count changed, else only those
-    moved_since reports. The version is the only contract between a source
-    and its indexes: it increases with every mutation, an index records the
-    version it read before fetching, and it rebuilds whenever the source's
-    version differs from that one. The source keeps no state about its
-    indexes, so any number of them can share it, each rebuilding on its
-    own. Reads may be concurrent with each other but not with mutation.
+    An index reads every record's position in one fetch(0, out) call into
+    an array it owns, and derives everything else from those positions,
+    its grid's box included; it finds the records a move changed by
+    comparing their bits with the previous build's. A source that holds
+    its records one at a time writes them into out itself. The version is
+    the only contract between a source and its indexes: it increases with
+    every mutation, an index records the version it read before fetching,
+    and it rebuilds whenever the source's version differs from that one.
+    The source keeps no state about its indexes, so any number of them can
+    share it, each rebuilding on its own. Reads may be concurrent with each
+    other but not with mutation.
     """
 
     @property
@@ -63,26 +45,14 @@ class IndexableSource(ABC):
         """Monotonically increasing; changes whenever any record changes."""
 
     @abstractmethod
-    def fetch(self, rid: RecordId, scratch: Record) -> Record:
-        """Overwrite scratch with record rid's data and return it."""
-
-    def new_scratch(self) -> Record:
-        """Scratch instance compatible with this source's fetch()."""
-        return Record()
-
-    def moved_since(self, version: int) -> np.ndarray | None:
-        """Ascending ids of the records moved since `version`, or None when
-        that is unknown: here always, so an index reads every record."""
-        return None
+    def fetch(self, first: RecordId, out: np.ndarray) -> np.ndarray:
+        """Copy the positions of records first .. first + len(out) - 1 into
+        out, a (k, 2) float64 array the caller owns, and return it; raise
+        IndexError for a run outside [0, record_count)."""
 
 
 class PointCollection(IndexableSource):
-    """In-memory 2D point records backed by a float64 array.
-
-    Each row carries the version of its last move, so moved_since is one
-    compare; an append or remove_at renumbers rows, and moved_since across
-    one returns None.
-    """
+    """In-memory 2D point records backed by a float64 array."""
 
     def __init__(self, points: Iterable[tuple[float, float]] = ()) -> None:
         pts = np.asarray(list(points), dtype=np.float64)
@@ -94,8 +64,6 @@ class PointCollection(IndexableSource):
         self._pts = pts
         self._version = 0
         self._extents: Extents | None = None
-        self._stamps = np.zeros(len(pts), dtype=np.int64)
-        self._reshaped = 0  # the version of the last append or remove_at
 
     @property
     def record_count(self) -> int:
@@ -121,19 +89,10 @@ class PointCollection(IndexableSource):
     def version(self) -> int:
         return self._version
 
-    def fetch(self, rid: RecordId, scratch: Record) -> Record:
-        pts = self._pts
-        if not 0 <= rid < len(pts):
-            raise IndexError(f"record id {rid} out of range [0, {len(pts)})")
-        # item returns Python floats without building a row view
-        scratch.x = pts.item(rid, 0)
-        scratch.y = pts.item(rid, 1)
-        return scratch
-
-    def moved_since(self, version: int) -> np.ndarray | None:
-        if version < self._reshaped:
-            return None
-        return np.flatnonzero(self._stamps > version)
+    def fetch(self, first: RecordId, out: np.ndarray) -> np.ndarray:
+        _check_run(first, len(out), len(self._pts))
+        out[:] = self._pts[first : first + len(out)]
+        return out
 
     def _mutated(self) -> None:
         self._version += 1
@@ -141,25 +100,26 @@ class PointCollection(IndexableSource):
 
     def append(self, x: float, y: float) -> RecordId:
         self._pts = np.vstack([self._pts, _finite_row(x, y)])
-        self._stamps = np.append(self._stamps, 0)
         self._mutated()
-        self._reshaped = self._version
         return len(self._pts) - 1
 
     def remove_at(self, rid: RecordId) -> None:
         if not 0 <= rid < len(self._pts):
             raise IndexError(f"record id {rid} out of range")
         self._pts = np.delete(self._pts, rid, axis=0)
-        self._stamps = np.delete(self._stamps, rid)
         self._mutated()
-        self._reshaped = self._version
 
     def move(self, rid: RecordId, x: float, y: float) -> None:
         if not 0 <= rid < len(self._pts):
             raise IndexError(f"record id {rid} out of range")
         self._pts[rid] = _finite_row(x, y)
         self._mutated()
-        self._stamps[rid] = self._version
+
+
+def _check_run(first: RecordId, k: int, n: int) -> None:
+    """Raise IndexError unless records first .. first + k - 1 lie in [0, n)."""
+    if first < 0 or first + k > n:
+        raise IndexError(f"records [{first}, {first + k}) out of range [0, {n})")
 
 
 def _check_domain(pts: np.ndarray) -> None:
@@ -179,10 +139,11 @@ def _finite_row(x: float, y: float) -> np.ndarray:
 
 
 class SubGridSource(IndexableSource):
-    """Proxy over a shared id list; never copies record payloads.
+    """Proxy over a shared id list; stores no positions of its own.
 
-    Local ids are 0..len(ids)-1 and remap through ids[k] into the parent;
-    the proxy reports its parent's version. No index uses it: every level
+    Local ids are 0..len(ids)-1 and remap through ids[k] into the parent:
+    fetch reads the parent's positions and gathers its run's rows. The
+    proxy reports its parent's version. No index uses it: every level
     is built over one positions array. The class stays only because
     perfbench's tracer looks it up by name when it installs.
     """
@@ -207,13 +168,11 @@ class SubGridSource(IndexableSource):
     def version(self) -> int:
         return self._parent.version
 
-    def fetch(self, rid: RecordId, scratch: Record) -> Record:
-        if not 0 <= rid < len(self._ids):
-            raise IndexError(f"record id {rid} out of range [0, {len(self._ids)})")
-        return self._parent.fetch(self._ids[rid], scratch)
-
-    def new_scratch(self) -> Record:
-        return self._parent.new_scratch()
+    def fetch(self, first: RecordId, out: np.ndarray) -> np.ndarray:
+        _check_run(first, len(out), len(self._ids))
+        rows = self._parent.fetch(0, np.empty((self._parent.record_count, 2)))
+        out[:] = rows[np.asarray(self._ids[first : first + len(out)], dtype=np.intp)]
+        return out
 
 
 def load_points(path) -> PointCollection:

@@ -145,15 +145,16 @@ class TestRebuild:
 
     def test_mutation_during_rebuild_is_seen_by_next_query(self):
         class MovesDuringFetch(PointCollection):
-            """Moves record 0 while the last record is being fetched."""
+            """Moves record 0 once the first read has copied it."""
 
             armed = True
 
-            def fetch(self, rid, scratch):
-                if self.armed and rid == self.record_count - 1:
+            def fetch(self, first, out):
+                super().fetch(first, out)
+                if self.armed:
                     self.armed = False
                     self.move(0, 8.0, 8.0)
-                return super().fetch(rid, scratch)
+                return out
 
         src = MovesDuringFetch([(1.0, 1.0), (9.0, 9.0), (5.0, 5.0)])
         idx = GridIndex(src, 3, 3)
@@ -249,10 +250,14 @@ class TestInspection:
 
 
 class TestSourceContract:
-    """A source is record_count, version and fetch; the index derives its
-    grid's box from the positions it fetches and reads nothing else."""
+    """A source is record_count, version and fetch(first, out); the index
+    derives its grid's box from the positions it fetches and reads nothing
+    else."""
 
     class MinimalSource(IndexableSource):
+        """Holds its records as (x, y) tuples and writes a run of them into
+        the caller's array."""
+
         def __init__(self, pts):
             self._pts = [tuple(p) for p in pts.tolist()]
 
@@ -264,9 +269,11 @@ class TestSourceContract:
         def version(self):
             return 0
 
-        def fetch(self, rid, scratch):
-            scratch.x, scratch.y = self._pts[rid]
-            return scratch
+        def fetch(self, first, out):
+            if first < 0 or first + len(out) > len(self._pts):
+                raise IndexError(first)
+            out[:] = self._pts[first : first + len(out)]
+            return out
 
     @staticmethod
     def queries(idx, rng):
@@ -336,15 +343,16 @@ class TestSharedSource:
     mutation."""
 
     class MovesDuringFetch(PointCollection):
-        """Once armed, moves record 0 while the last record is fetched."""
+        """Once armed, moves record 0 once the next read has copied it."""
 
         armed = False
 
-        def fetch(self, rid, scratch):
-            if self.armed and rid == self.record_count - 1:
+        def fetch(self, first, out):
+            super().fetch(first, out)
+            if self.armed:
                 self.armed = False
                 self.move(0, 50.0, 50.0)
-            return super().fetch(rid, scratch)
+            return out
 
     @staticmethod
     def assert_fresh(indexes, src, rects):
@@ -442,11 +450,12 @@ class TestRenderPoints:
         class FetchesNaN(PointCollection):
             """Stores finite points but fetches the middle record as NaN."""
 
-            def fetch(self, rid, scratch):
-                super().fetch(rid, scratch)
-                if rid == self.record_count // 2:
-                    scratch.x = math.nan
-                return scratch
+            def fetch(self, first, out):
+                super().fetch(first, out)
+                mid = self.record_count // 2 - first
+                if 0 <= mid < len(out):
+                    out[mid, 0] = math.nan
+                return out
 
         src = FetchesNaN(np.random.default_rng(n).uniform(0.0, 100.0, (n, 2)))
         idx = HierGridIndex(src, 4, 4, HierConfig(4)) if hierarchical else GridIndex(src, 4, 4)

@@ -27,7 +27,7 @@ from hiergrid import (
     gaussian_points,
 )
 from hiergrid.geometry import resolve_bin
-from hiergrid.sources import IndexableSource, Record
+from hiergrid.sources import IndexableSource
 
 
 def new_index(source, dx, dy, bucket):
@@ -40,8 +40,7 @@ def fresh_like(index):
     """A fresh index of the same kind over a copy of its source's records."""
     bucket = index.config.max_bin_records if isinstance(index, HierGridIndex) else None
     source = index.source
-    records = (source.fetch(rid, Record()) for rid in range(source.record_count))
-    copy = PointCollection([(r.x, r.y) for r in records])
+    copy = PointCollection(source.fetch(0, np.empty((source.record_count, 2))))
     return new_index(copy, index.divisions_x, index.divisions_y, bucket)
 
 
@@ -135,28 +134,29 @@ def interior_record(source, ext):
 
 
 class MovesDuringFetch(PointCollection):
-    """Moves record 0 onto record 1 while the record armed names is being
-    fetched, then disarms."""
+    """Once armed, moves record 0 onto record 1 inside the next fetch, after
+    the run has been copied, then disarms."""
 
-    armed = None
+    armed = False
 
-    def fetch(self, rid, scratch):
-        if rid == self.armed:
-            self.armed = None
+    def fetch(self, first, out):
+        super().fetch(first, out)
+        if self.armed:
+            self.armed = False
             self.move(0, *self._pts[1].tolist())
-        return super().fetch(rid, scratch)
+        return out
 
 
 class CountsFetches(PointCollection):
-    """Keeps the ids it was asked to fetch, in order."""
+    """Keeps the (first, length) of every run it was asked to fetch."""
 
     def __init__(self, points):
         super().__init__(points)
         self.fetched = []
 
-    def fetch(self, rid, scratch):
-        self.fetched.append(rid)
-        return super().fetch(rid, scratch)
+    def fetch(self, first, out):
+        self.fetched.append((first, len(out)))
+        return super().fetch(first, out)
 
 
 # -- the differential state machine -------------------------------------------
@@ -322,14 +322,14 @@ class TestReuse:
         assert_same_as_fresh(idx)
 
     def test_mutation_during_a_reusing_rebuild_is_seen_by_next_query(self):
-        # a repair reads only the moved record 2: the trap is set on it
+        # the repair's one read moves record 0 after copying every row
         src = MovesDuringFetch(gaussian_points(1000, seed=9).positions)
         idx = HierGridIndex(src, 6, 6, HierConfig(max_bin_records=8))
         idx.ensure_built()
-        src.armed = 2
+        src.armed = True
         src.move(2, *src.positions[3].tolist())
         built = idx.ensure_built()
-        assert src.armed is None
+        assert not src.armed
         # the move of record 0 landed after its row was read: the build trails
         assert built.version < src.version
         assert idx.level_counts[1] > 0
@@ -340,15 +340,15 @@ class TestReuse:
         assert_same_as_fresh(idx)
 
     def test_mutation_during_a_full_rebuild_is_seen_by_next_query(self):
-        # an append changes the record count: every record is read, and the
-        # trap is set on the last one
+        # an append changes the record count, so the whole tree is built
+        # from the read that moves record 0
         src = MovesDuringFetch(gaussian_points(1000, seed=9).positions)
         idx = HierGridIndex(src, 6, 6, HierConfig(max_bin_records=8))
         idx.ensure_built()
         src.append(*src.positions[3].tolist())
-        src.armed = src.record_count - 1
+        src.armed = True
         built = idx.ensure_built()
-        assert src.armed is None
+        assert not src.armed
         assert built.version < src.version
         res = idx.nearest(Point2D(*src.positions[1].tolist()))
         assert res.distance == 0.0 and res.record in (0, 1)
@@ -371,22 +371,40 @@ class TestReuse:
         assert idx.filled.at(BinCoord(1, 0)).ids == [0]
         assert_same_as_fresh(idx)
 
-    def test_a_repair_fetches_only_the_moved_record(self):
+    def test_every_rebuild_reads_the_source_in_one_call(self):
         src = CountsFetches(gaussian_points(5000, seed=42).positions)
         idx = HierGridIndex(src, 10, 10, HierConfig(max_bin_records=8))
         idx.ensure_built()
-        assert src.fetched == list(range(5000))
+        assert src.fetched == [(0, 5000)]
         ext = idx.shape.extents
         rid = interior_record(src, ext)
         src.fetched = []
         src.move(rid, ext.center.x, ext.center.y)
         idx.ensure_built()
-        assert src.fetched == [rid]
-        assert idx.level_counts[1] > 0
+        assert src.fetched == [(0, 5000)]
+        assert idx.level_counts[1] > 0  # a repair
         src.fetched = []
         src.append(ext.center.x, ext.center.y)
         idx.ensure_built()
-        assert src.fetched == list(range(5001))
+        assert src.fetched == [(0, 5001)]
+        assert idx.level_counts[1] == 0  # a full build
+        assert_same_as_fresh(idx)
+
+    @pytest.mark.parametrize("bucket", [None, 8])
+    def test_the_index_owns_its_positions(self, bucket):
+        # a view of the source's live array would change under a move, and
+        # the repair's diff would then compare an array with itself
+        src = gaussian_points(2000, seed=8)
+        idx = new_index(src, 10, 10, bucket)
+        before = idx.ensure_built()
+        assert not np.shares_memory(before.positions, src.positions)
+        bits = before.positions.tobytes()
+        rid = interior_record(src, before.shape.extents)
+        src.move(rid, *src.positions[rid + 1].tolist())
+        assert before.positions.tobytes() == bits
+        after = idx.ensure_built()
+        assert not np.shares_memory(after.positions, src.positions)
+        assert after.positions.tobytes() == src.positions.tobytes()
         assert_same_as_fresh(idx)
 
     @pytest.mark.parametrize("bucket", [None, 8])
@@ -432,9 +450,9 @@ class TestReuse:
             def version(self):
                 return self._version
 
-            def fetch(self, rid, scratch):
-                scratch.x, scratch.y = self.pts[rid]
-                return scratch
+            def fetch(self, first, out):
+                out[:] = self.pts[first : first + len(out)]
+                return out
 
             def move(self, rid, x, y):
                 self.pts[rid] = (x, y)

@@ -12,7 +12,6 @@ from hiergrid import (
     HierGridIndex,
     Point2D,
     PointCollection,
-    Record,
     SubGridSource,
     load_points,
     save_points,
@@ -24,26 +23,36 @@ def pc(*pts) -> PointCollection:
     return PointCollection(list(pts))
 
 
+def read(src, first=0, k=None):
+    """Positions of records first .. first + k - 1 (all from first when k
+    is None) as a list of (x, y) tuples, read through one fetch."""
+    k = src.record_count - first if k is None else k
+    out = np.empty((k, 2))
+    assert src.fetch(first, out) is out
+    return [tuple(row) for row in out.tolist()]
+
+
+def assert_out_of_range(src):
+    """fetch raises IndexError for a run that starts below 0 or ends past
+    the last record, and reads an empty run anywhere in [0, n]."""
+    n = src.record_count
+    for first, k in [(-1, 1), (-1, 0), (n, 1), (n + 1, 0), (0, n + 1), (n - 1, 2)]:
+        with pytest.raises(IndexError):
+            src.fetch(first, np.empty((k, 2)))
+    for first in (0, n):
+        assert src.fetch(first, np.empty((0, 2))).shape == (0, 2)
+
+
 class TestPointCollection:
     def test_fetch_fills_scratch(self):
-        src = pc((1.0, 2.0), (3.0, 4.0))
-        scratch = src.new_scratch()
-        rec = src.fetch(1, scratch)
-        assert rec is scratch
-        assert rec.position() == (3.0, 4.0)
-
-    def test_fetch_reuses_one_scratch_across_records(self):
+        """fetch copies a run of positions into the caller's array."""
         src = pc((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))
-        scratch = src.new_scratch()
-        seen = [src.fetch(rid, scratch).position() for rid in range(3)]
-        assert seen == [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+        assert read(src) == [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+        assert read(src, 1, 1) == [(3.0, 4.0)]
+        assert read(src, 1) == [(3.0, 4.0), (5.0, 6.0)]
 
     def test_fetch_out_of_range(self):
-        src = pc((1.0, 2.0))
-        with pytest.raises(IndexError):
-            src.fetch(1, src.new_scratch())
-        with pytest.raises(IndexError):
-            src.fetch(-1, src.new_scratch())
+        assert_out_of_range(pc((1.0, 2.0), (3.0, 4.0)))
 
     def test_record_count(self):
         assert pc().record_count == 0
@@ -107,11 +116,11 @@ class TestPointCollection:
         finite."""
 
         class Unchecked(PointCollection):
-            def fetch(self, rid, scratch):
-                super().fetch(rid, scratch)
-                if rid == 0:
-                    scratch.x = -1e308
-                return scratch
+            def fetch(self, first, out):
+                super().fetch(first, out)
+                if first == 0 and len(out):
+                    out[0, 0] = -1e308
+                return out
 
         idx = GridIndex(Unchecked([(0.0, 0.0), (8e307, 1.0)]), 4, 4)
         with pytest.raises(ValueError, match="overflows"):
@@ -128,13 +137,13 @@ class TestPointCollection:
         src = pc((1.0, 1.0))
         rid = src.append(9.0, 9.0)
         assert rid == 1
-        assert src.fetch(rid, src.new_scratch()).position() == (9.0, 9.0)
+        assert read(src, rid) == [(9.0, 9.0)]
 
     def test_remove_shifts_ids_down(self):
         src = pc((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
         src.remove_at(0)
         assert src.record_count == 2
-        assert src.fetch(0, src.new_scratch()).position() == (2.0, 2.0)
+        assert read(src) == [(2.0, 2.0), (3.0, 3.0)]
 
     def test_extents_track_mutation(self):
         src = pc((0.0, 0.0), (10.0, 10.0))
@@ -142,32 +151,6 @@ class TestPointCollection:
         src.append(50.0, -5.0)
         assert src.data_extents.max == Point2D(50.0, 10.0)
         assert src.data_extents.min == Point2D(0.0, -5.0)
-
-    def test_moved_since_lists_the_moved_ids(self):
-        src = pc((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
-        start = src.version
-        assert src.moved_since(start).tolist() == []
-        src.move(2, 5.0, 5.0)
-        middle = src.version
-        src.move(0, 2.0, 2.0)
-        assert src.moved_since(start).tolist() == [0, 2]
-        assert src.moved_since(middle).tolist() == [0]
-        assert src.moved_since(src.version).tolist() == []
-
-    @pytest.mark.parametrize("reshape", ["append", "remove_at"])
-    def test_moved_since_is_unknown_across_an_append_or_remove(self, reshape):
-        src = pc((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
-        start = src.version
-        src.move(1, 5.0, 5.0)
-        if reshape == "append":
-            src.append(4.0, 4.0)
-        else:
-            src.remove_at(0)
-        after = src.version
-        assert src.moved_since(start) is None
-        assert src.moved_since(after).tolist() == []
-        src.move(1, 6.0, 6.0)
-        assert src.moved_since(after).tolist() == [1]
 
 
 class TestComputeExtents:
@@ -197,38 +180,37 @@ class TestSubGridSource:
         parent = pc((1.0, 1.0), (3.0, 3.0), (5.0, 6.0))
         sub = SubGridSource(parent, [2, 0])
         assert sub.record_count == 2
-        assert sub.fetch(0, sub.new_scratch()).position() == (5.0, 6.0)
-        assert sub.fetch(1, sub.new_scratch()).position() == (1.0, 1.0)
+        assert read(sub) == [(5.0, 6.0), (1.0, 1.0)]
+        assert read(sub, 1, 1) == [(1.0, 1.0)]
 
     def test_to_parent(self):
         parent = pc((1.0, 1.0), (2.0, 2.0))
         sub = SubGridSource(parent, [1])
         assert sub.ids[0] == 1
-        assert sub.fetch(0, sub.new_scratch()).position() == (2.0, 2.0)
+        assert read(sub) == [(2.0, 2.0)]
         assert sub.version == parent.version
         parent.move(1, 3.0, 3.0)
         assert sub.version == parent.version
 
     def test_fetch_out_of_range(self):
-        sub = SubGridSource(pc((1.0, 1.0), (2.0, 2.0)), [0])
-        with pytest.raises(IndexError):
-            sub.fetch(1, sub.new_scratch())
+        for ids in ([0], (1, 0), []):
+            assert_out_of_range(SubGridSource(pc((1.0, 1.0), (2.0, 2.0)), ids))
 
     def test_proxy_transparency_exhaustive(self):
         rng = np.random.default_rng(9)
         parent = PointCollection(rng.uniform(0, 50, (200, 2)))
         ids = [int(r) for r in rng.choice(200, size=64, replace=False)]
         sub = SubGridSource(parent, ids)
-        ps, pp = sub.new_scratch(), parent.new_scratch()
+        whole = read(parent)
+        assert read(sub) == [whole[rid] for rid in ids]
         for local, rid in enumerate(ids):
-            assert sub.fetch(local, ps).position() == parent.fetch(rid, pp).position()
+            assert read(sub, local, 1) == read(parent, rid, 1)
 
     def test_nested_proxies_compose(self):
         parent = pc((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
         mid = SubGridSource(parent, [3, 1, 0])
         leaf = SubGridSource(mid, [2, 0])
-        assert leaf.fetch(0, leaf.new_scratch()).position() == (0.0, 0.0)
-        assert leaf.fetch(1, leaf.new_scratch()).position() == (3.0, 3.0)
+        assert read(leaf) == [(0.0, 0.0), (3.0, 3.0)]
         assert mid.ids[leaf.ids[1]] == 3
 
 
@@ -278,10 +260,3 @@ class TestPointFiles:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_points(tmp_path / "nope.csv")
-
-
-class TestRecord:
-    def test_scratch_is_mutable_and_reusable(self):
-        r = Record()
-        r.x, r.y = 7.0, 8.0
-        assert r.position() == (7.0, 8.0)

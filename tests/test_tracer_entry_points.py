@@ -14,7 +14,7 @@ from hiergrid import HierConfig, HierGridIndex, Point2D, gaussian_points
 
 # perfbench is a package at the repository root, beside src/
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.tracing import Tracer  # noqa: E402
+from perfbench.tracing import SpanTable, Tracer  # noqa: E402
 
 
 def test_every_entry_point_is_present_and_delegations_are_counted():
@@ -32,3 +32,25 @@ def test_every_entry_point_is_present_and_delegations_are_counted():
         assert tracer.count("hierarchy.delegate", False) > 0
     finally:
         tracer.uninstall()
+
+
+def test_every_rebuild_is_one_traced_fetch():
+    """The tracer counts and times the one bulk read of each root rebuild:
+    a fresh build, a repair after a move and a full build after an append."""
+    tracer = Tracer(hiergrid)
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        src = gaussian_points(2000, seed=3)
+        idx = HierGridIndex(src, 6, 6, HierConfig(max_bin_records=8))
+        idx.ensure_built()
+        src.move(5, *src.positions[6].tolist())
+        idx.nearest(Point2D(0.0, 0.0))
+        src.append(1.0, 2.0)
+        idx.nearest(Point2D(0.0, 0.0))
+    finally:
+        tracer.uninstall()
+    assert len(SpanTable(tracer).root_rebuilds()) == 3
+    assert tracer.count("sources.fetch", True) == 3
+    assert tracer.fetch_s[True] > 0
+    assert tracer.absent == []
