@@ -50,8 +50,14 @@ A nearest query keeps one running best across all levels. A level visit
 works on the level's own slots: it finds the home bin with _axis_bin, the
 boundary distance from bin_rect's edge arithmetic and the 1-neighborhood by
 flat-index arithmetic over the filled list, so it builds no coordinate
-objects. A range query reads the root's sorted arrays one window row at a
-time, through the root's bin start offsets.
+objects. A visit from outside a level's box skips the level, before
+ranking its ring, when the query's squared distance to the box exceeds the
+running best; the box's far edges are min + n * bin_size, where the ring's
+bin edges put them. No ring bin is nearer than the box (the edges
+min + k * bin_size do not decrease in k, and fl(a + b) is monotone), so the
+ranked visit would stop at its first bin, and the skip changes no answer,
+cost or visit order. A range query reads the root's sorted arrays one
+window row at a time, through the root's bin start offsets.
 """
 from __future__ import annotations
 
@@ -443,19 +449,6 @@ def _nearest(xs, ys, first, count, cxs, cys) -> np.ndarray:
             d2 = dx * dx + dy * dy
             owners[rows] = starts + d2.argmin(axis=1)
     return owners
-
-
-def _gaps_sq(v: float, lo: float, size: float, n: int) -> list[float]:
-    """Squared gap from coordinate v to each of n bins along one axis, the
-    bin k spanning [lo + k * size, lo + (k + 1) * size]; 0 inside a bin."""
-    out = []
-    x0 = lo
-    for k in range(1, n + 1):
-        x1 = lo + k * size
-        d = x0 - v if v < x0 else (v - x1 if v > x1 else 0.0)
-        out.append(d * d)
-        x0 = x1
-    return out
 
 
 def _root_list(root: _BuiltState, home: int, ids: list[RecordId] | None = None) -> BinList:
@@ -961,6 +954,17 @@ class GridIndex:
         with bin edges at min + k * bin_size. The distances are sorted as
         plain floats, and only a bin the visit reaches is located in the
         row-major ring, by index.
+
+        Before any gap, sum or sort, a level whose box is farther than the
+        running best is skipped unvisited. The box's far edges are taken as
+        min + n * bin_size, the ring's last bin edges, not max, which can
+        differ from them by an ulp. The skip changes nothing:
+
+        - each column's gap, and each row's, is at least the box's gap on
+          that axis, because the edges min + k * bin_size do not decrease
+          in k;
+        - fl(a + b) is monotone, so no ring bin's sum is below the box's;
+        - so whenever the skip fires, the visit would stop at its first bin.
         """
         if state.border_ids is not None:
             dx = state.border_xs - q.x
@@ -971,8 +975,30 @@ class GridIndex:
             best.offer(float(d2[k]), int(state.border_ids[k]))
             return
         qx, qy = q.x, q.y
-        ddx = _gaps_sq(qx, state.min_x, state.bin_w, state.nx)
-        ddy = _gaps_sq(qy, state.min_y, state.bin_h, state.ny)
+        x0, y0 = state.min_x, state.min_y
+        bw, bh = state.bin_w, state.bin_h
+        nx, ny = state.nx, state.ny
+        x1, y1 = x0 + nx * bw, y0 + ny * bh
+        dx = x0 - qx if qx < x0 else (qx - x1 if qx > x1 else 0.0)
+        dy = y0 - qy if qy < y0 else (qy - y1 if qy > y1 else 0.0)
+        if dx * dx + dy * dy > best.d2:
+            return
+        # squared gap to each column, then each row: bin k spans
+        # [min + k * size, min + (k + 1) * size], 0 inside it
+        ddx = []
+        a = x0
+        for k in range(1, nx + 1):
+            b = x0 + k * bw
+            d = a - qx if qx < a else (qx - b if qx > b else 0.0)
+            ddx.append(d * d)
+            a = b
+        ddy = []
+        a = y0
+        for k in range(1, ny + 1):
+            b = y0 + k * bh
+            d = a - qy if qy < a else (qy - b if qy > b else 0.0)
+            ddy.append(d * d)
+            a = b
         d2s = [ddx[i] + ddy[j] for i, j in zip(self._ring_i, self._ring_j)]
         bins = state.bins
         seen = set()
