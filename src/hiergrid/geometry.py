@@ -123,10 +123,19 @@ class GridShape:
         object.__setattr__(self, "bin_width", self.extents.width / self.divisions_x)
         object.__setattr__(self, "bin_height", self.extents.height / self.divisions_y)
 
+    def flat_index(self, c: BinCoord) -> int:
+        """Row-major index of bin c; IndexError when c is outside the grid."""
+        nx, ny = self.divisions_x, self.divisions_y
+        if not (0 <= c.i < nx and 0 <= c.j < ny):
+            raise IndexError(f"bin ({c.i}, {c.j}) is outside the {nx}x{ny} grid")
+        return c.j * nx + c.i
+
     def bin_rect(self, c: BinCoord) -> Extents:
         """World-coordinate rectangle of bin c: edges at min + k * bin_size,
         except that the last column and row close at the extents' max,
-        which min + n * bin_size can fall an ulp short of."""
+        which min + n * bin_size can fall an ulp short of. IndexError when
+        c is outside the grid."""
+        self.flat_index(c)
         bw, bh = self.bin_width, self.bin_height
         ext = self.extents
         x0, y0 = ext.min.x, ext.min.y

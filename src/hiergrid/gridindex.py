@@ -50,14 +50,19 @@ A nearest query keeps one running best across all levels. A level visit
 works on the level's own slots: it finds the home bin with _axis_bin, the
 boundary distance from bin_rect's edge arithmetic and the 1-neighborhood by
 flat-index arithmetic over the filled list, so it builds no coordinate
-objects. A visit from outside a level's box skips the level, before
-ranking its ring, when the query's squared distance to the box exceeds the
-running best; the box's far edges are min + n * bin_size, where the ring's
-bin edges put them. No ring bin is nearer than the box (the edges
+objects. A root without children scans its 1-neighborhood in one vector
+pass over the window's rows of its bin-sorted arrays (less the home run),
+plus each gap-filled window bin's list rendered outside the window; every
+other level walks the window's distinct lists.
+
+A visit from outside a level's box skips the level, before ranking its
+ring, when the query's squared distance to the box exceeds the running
+best; the box's far edges are min + n * bin_size, where the ring's bin
+edges put them. No ring bin is nearer than the box (the edges
 min + k * bin_size do not decrease in k, and fl(a + b) is monotone), so the
 ranked visit would stop at its first bin, and the skip changes no answer,
-cost or visit order. A range query reads the root's sorted arrays one
-window row at a time, through the root's bin start offsets.
+cost or visit order. A range query reads window rows of the root's sorted
+arrays as the neighborhood pass does, through the root's bin offsets.
 """
 from __future__ import annotations
 
@@ -159,7 +164,7 @@ class RenderedGrid:
         return {lst: BinCoord(lst.home % nx, lst.home // nx) for lst in self.lists}
 
     def at(self, c: BinCoord) -> Optional[BinList]:
-        return self._bins[c.j * self.shape.divisions_x + c.i]
+        return self._bins[self.shape.flat_index(c)]
 
     def present_coords(self) -> Iterator[BinCoord]:
         nx = self.shape.divisions_x
@@ -271,7 +276,7 @@ class FilledGrid:
         self.flat = bins
 
     def at(self, c: BinCoord) -> BinList:
-        return self.flat[c.j * self.shape.divisions_x + c.i]
+        return self.flat[self.shape.flat_index(c)]
 
 
 class QueryResult(NamedTuple):
@@ -490,6 +495,77 @@ def _scan_list(lst: BinList, qx: float, qy: float, best: _Best) -> float:
     return m
 
 
+def _gather(root: _BuiltState, first: int, last: int, width: int, cut: int = -1):
+    """The root's bin-sorted xs, ys and ids over a window of bins: width
+    bins from each of the row-major bins first, first + nx, .., last, less
+    the run of bin cut where the window holds it. One row without the cut
+    is one run, returned as views; otherwise the runs are copied into
+    arrays sized once. No Python container is built."""
+    starts, xs, ys, ids = root.starts, root.xs, root.ys, root.ids
+    rows = range(first, last + 1, root.nx)
+    if first == last and not first <= cut < first + width:
+        s, e = starts[first], starts[first + width]
+        return xs[s:e], ys[s:e], ids[s:e]
+    n = 0
+    for a in rows:
+        n += starts[a + width] - starts[a]
+        if a <= cut < a + width:
+            n -= starts[cut + 1] - starts[cut]
+    wxs, wys, wids = np.empty(n), np.empty(n), np.empty(n, dtype=ids.dtype)
+    o = 0
+    for a in rows:
+        s, e = starts[a], starts[a + width]
+        if a <= cut < a + width:  # copy the runs before and after the cut
+            m = starts[cut]
+            k = o + m - s
+            wxs[o:k], wys[o:k], wids[o:k] = xs[s:m], ys[s:m], ids[s:m]
+            o, s = k, starts[cut + 1]
+        k = o + e - s
+        wxs[o:k], wys[o:k], wids[o:k] = xs[s:e], ys[s:e], ids[s:e]
+        o = k
+    return wxs, wys, wids
+
+
+def _scan_window(
+    root: _BuiltState, home: BinList, i_lo: int, i_hi: int, row_lo: int, row_hi: int,
+    qx: float, qy: float, best: _Best,
+) -> None:
+    """Scan the lists of a childless root's 1-neighborhood window, columns
+    i_lo .. i_hi of the rows at flat offsets row_lo .. row_hi (row * nx),
+    into best: each distinct list but home (already scanned) once, as the
+    per-list walk does, so the cost is the same sum.
+
+    Each window row is one run of the root's bin-sorted arrays, less the
+    home list's run where it lies in the row; their records are gathered
+    and scanned in one vector pass. They are bin-major, not ascending by
+    id, so of equal minima the lowest id wins. A gap-filled window bin whose
+    list's home lies outside the window is scanned with _scan_list, once.
+    """
+    nx, bins = root.nx, root.bins
+    outside: list[BinList] = []
+    if len(root.lists) < len(bins):  # some bin is gap-filled
+        for row in range(row_lo, row_hi + 1, nx):
+            for g in range(row + i_lo, row + i_hi + 1):
+                lst = bins[g]
+                f = lst.home
+                if f != g and lst is not home and lst not in outside:
+                    c = f % nx
+                    if not (i_lo <= c <= i_hi and row_lo <= f - c <= row_hi):
+                        outside.append(lst)
+    xs, ys, ids = _gather(root, row_lo + i_lo, row_hi + i_lo, i_hi + 1 - i_lo, home.home)
+    if len(ids):
+        best.cost += len(ids)
+        dx = xs - qx
+        dy = ys - qy
+        d2 = dx * dx + dy * dy
+        k = int(d2.argmin())
+        m = d2[k]
+        rid = ids[k] if np.count_nonzero(d2 == m) == 1 else ids[d2 == m].min()
+        best.offer(float(m), int(rid))
+    for lst in outside:
+        _scan_list(lst, qx, qy, best)
+
+
 class GridIndex:
     """Fixed-divisions grid index over an IndexableSource of point records.
 
@@ -549,7 +625,7 @@ class GridIndex:
     def sub_at(self, c: BinCoord) -> Optional[_BuiltState]:
         """The child level bin c delegates to, if any."""
         state = self.ensure_built()
-        return state.bins[c.j * state.nx + c.i].child
+        return state.bins[state.shape.flat_index(c)].child
 
     @property
     def level_counts(self) -> tuple[int, int]:
@@ -620,15 +696,17 @@ class GridIndex:
         floor = default_smallest_dimension(extents)
         root = _BuiltState(GridShape(self.divisions_x, self.divisions_y, extents), 0, floor)
         root.positions = positions
+        # a repair builds few lists, and a flat build's lists hold every
+        # record once: only a fresh tree's lists share one int object per
+        # record across depths
+        ints = None
         if old is not None and _bits(extents, floor) == _bits(old.shape.extents, old.size_floor):
             depth = self._on_after_rebuilt(self._repair(old, root))
-            # a repair builds few lists: they need not share int objects
-            ints = np.arange(n)
         else:
             xs, ys = positions[:, 0], positions[:, 1]
             depth = _Depth([root], np.array([0, n]), np.arange(n), xs, ys)
-            # one int object per record, which the lists of every depth share
-            ints = np.arange(n).astype(object)
+            if self._max_bin_records < n:
+                ints = np.arange(n).astype(object)
         while depth is not None:
             self._render_records(depth, ints)
             ids, xs, ys = depth.rows
@@ -723,25 +801,30 @@ class GridIndex:
         depth.rows = (root.ids[picked], root.xs[picked], root.ys[picked])
         return depth
 
-    def _render_records(self, depth: _Depth, ints: np.ndarray) -> None:
+    def _render_records(self, depth: _Depth, ints: np.ndarray | None) -> None:
         """Render every record of the depth on its own level.
 
         Bins come from axis_bins on each level's box; one stable sort on
         (level, bin) groups the records, so every run is one bin's list,
         ascending id within it. Each list knows its home bin and holds the
-        ids as the objects in `ints`; a level keeps its lists in the order
-        of their first records, which is render_point's first-seen order.
-        The root keeps the grouped arrays and each bin's offset into them.
+        ids as the objects in `ints`, or as new ints when it is None; a
+        level keeps its lists in the order of their first records, which is
+        render_point's first-seen order. The root keeps the grouped arrays
+        and each bin's offset into them.
         """
         levels = depth.levels
         nx, ny = self.divisions_x, self.divisions_y
         nb = nx * ny
-        level_of = np.repeat(np.arange(len(levels)), np.diff(depth.offsets))
         depth.box = [
             np.array([getattr(lv, name) for lv in levels])
             for name in ("min_x", "min_y", "bin_w", "bin_h")
         ]
-        x0, y0, bw, bh = (v[level_of] for v in depth.box)
+        if len(levels) == 1:  # one box: scalars, not per-record gathers
+            lv = levels[0]
+            level_of, x0, y0, bw, bh = 0, lv.min_x, lv.min_y, lv.bin_w, lv.bin_h
+        else:
+            level_of = np.repeat(np.arange(len(levels)), np.diff(depth.offsets))
+            x0, y0, bw, bh = (v[level_of] for v in depth.box)
         depth.flat = flat = axis_bins(depth.ys, y0, bh, ny) * nx
         flat += axis_bins(depth.xs, x0, bw, nx)
         grouped = level_of * nb + flat
@@ -751,7 +834,7 @@ class GridIndex:
         depth.cuts = cuts = [*heads.tolist(), len(order)]
         depth.keys = keys = grouped[heads]
         depth.rows = rows = (depth.ids[order], depth.xs[order], depth.ys[order])
-        members = ints[rows[0]].tolist()
+        members = (rows[0] if ints is None else ints[rows[0]]).tolist()
         homes = (keys % nb).tolist()
         depth.lists = lists = [
             BinList(members[s:e], home) for s, e, home in zip(cuts, cuts[1:], homes)
@@ -887,10 +970,12 @@ class GridIndex:
         list's own nearest record is closer than the home bin's nearest
         edge), its 1-neighborhood's lists.
 
-        The home bin is _axis_bin's on each axis, the boundary distance uses
-        bin_rect's edges, and the neighborhood is walked row-major by flat
-        index, so nothing is built per visit but the set that keeps aliased
-        lists from being consulted twice.
+        The home bin is _axis_bin's on each axis and the boundary distance
+        uses bin_rect's edges. A root without children (the level with
+        border arrays) scans the neighborhood with _scan_window, one vector
+        pass over its window rows. Any other level walks it row-major by
+        flat index, with a set that keeps aliased lists from being
+        consulted twice; both examine every distinct list once.
         """
         qx, qy = q.x, q.y
         x0, y0, x1, y1 = state.min_x, state.min_y, state.max_x, state.max_y
@@ -924,6 +1009,9 @@ class GridIndex:
         i_hi = i + 1 if i + 1 < nx else i
         row_lo = (j - 1 if j else 0) * nx
         row_hi = (j + 1 if j + 1 < ny else j) * nx
+        if state.border_ids is not None:  # a root without children
+            _scan_window(state, home, i_lo, i_hi, row_lo, row_hi, qx, qy, best)
+            return False
         seen = {home}
         for row in range(row_lo, row_hi + 1, nx):
             for g in range(row + i_lo, row + i_hi + 1):
@@ -1027,8 +1115,8 @@ class GridIndex:
         rendered by the same monotone _axis_bin, so the window holds them
         all. The root's records are grouped by bin in row-major order, so
         each window row is one slice of its arrays, read through the root's
-        bin offsets. A window of several rows copies its slices into arrays
-        sized once; the window is then masked in one numpy pass.
+        bin offsets and gathered by _gather, which _scan_window shares; the
+        window is then masked in one numpy pass.
         """
         state = self.ensure_built()
         rx0, ry0, rx1, ry1 = rect.min.x, rect.min.y, rect.max.x, rect.max.y
@@ -1044,22 +1132,6 @@ class GridIndex:
         width = _axis_bin(x1, ex0, bw, nx) + 1 - i_lo
         j_lo = _axis_bin(y0, ey0, bh, ny)
         j_hi = _axis_bin(y1, ey0, bh, ny)
-        starts, ids, xs, ys = state.starts, state.ids, state.xs, state.ys
-        rows = range(j_lo * nx + i_lo, j_hi * nx + i_lo + 1, nx)  # each row's first bin
-        if j_lo == j_hi:
-            s, e = starts[rows[0]], starts[rows[0] + width]
-            wxs, wys, wids = xs[s:e], ys[s:e], ids[s:e]
-        else:
-            # copy each row's slice into arrays sized once for the window
-            n = 0
-            for b in rows:
-                n += starts[b + width] - starts[b]
-            wxs, wys, wids = np.empty(n), np.empty(n), np.empty(n, dtype=ids.dtype)
-            o = 0
-            for b in rows:
-                s, e = starts[b], starts[b + width]
-                k = o + e - s
-                wxs[o:k], wys[o:k], wids[o:k] = xs[s:e], ys[s:e], ids[s:e]
-                o = k
+        wxs, wys, wids = _gather(state, j_lo * nx + i_lo, j_hi * nx + i_lo, width)
         hit = (wxs >= rx0) & (wxs <= rx1) & (wys >= ry0) & (wys <= ry1)
         return np.sort(wids[hit]).tolist()

@@ -27,6 +27,9 @@ CONFIGS = {
     "uniform-hier-2x2-b1": ("uniform", 2, 2, 1),
     "gaussian-hier-10x10-b8": ("gaussian", 10, 10, 8),
     "gaussian-hier-7x5-b1": ("gaussian", 7, 5, 1),
+    # 510 empty bins; 576 of the 3x3 windows hold a gap-filled bin whose
+    # list lies outside the window
+    "gaussian-flat-32x32": ("gaussian", 32, 32, None),
 }
 
 PINNED = {
@@ -56,6 +59,12 @@ PINNED = {
         "range": "8a4454da866f0f1cadd71aaa85756251f21ae95765ce1207f680c9f152853932",
         "leaves": "790d3475cceca8979702e556b7243d1b073dcca44f0e1c94cfa9fc465f08dbf4",
         "boxes": "41a262b80030f63b3c899074902905d528e4868349677461260a2aa117f398f8",
+    },
+    "gaussian-flat-32x32": {
+        "sweep": "99ce665eb041c04b1aebb9481117ad58b079a3b42390a6fb4a519e777f18dd68",
+        "nearest": "7c64d64bb91c251d4ac85169e1f88c986f9b8a07f06b9584e20fc59c7e6e7e7d",
+        "range": "c9b139e0ea929e38d8e9538d8aad34db41ac9139b86be5d9979141d30c07c49f",
+        "boxes": "8336d82ec915c342ae99959c08dbd12e53b4af2387ef6beae5ba1ab3485ae68e",
     },
 }
 
@@ -198,6 +207,7 @@ TREE_PINNED = {
     "signed-zero-lattice": "46290393291120bdee50dc85f2bf8c8986a80162d914c70518d974c4e5585a33",
     "overflow-1e200": "6cd54dfa35bdb405429cbe299ac15c168eaeee25e8806bc6427ab6ea137d9c3c",
     "floor-cluster": "557e9fdafeb6f28400e205861b55e4375d35b43778db117da660d59e19da24bb",
+    "gaussian-flat-32x32": "b45c2b30956f7d8390d126c1ee47f7595a218a95c3e2ee925b05833139878008",
 }
 
 

@@ -100,6 +100,14 @@ class TestGridShape:
         rect = SHAPE10.bin_rect(BinCoord(2, 3))
         assert rect == Extents(Point2D(20.0, 30.0), Point2D(30.0, 40.0))
 
+    @pytest.mark.parametrize(
+        "c", [BinCoord(10, 0), BinCoord(0, 10), BinCoord(-1, 3), BinCoord(5, 17)]
+    )
+    def test_bin_rect_rejects_a_bin_outside_the_grid(self, c):
+        # without the check, (10, 0) is a rectangle right of the extents
+        with pytest.raises(IndexError, match=rf"\({c.i}, {c.j}\).*10x10"):
+            SHAPE10.bin_rect(c)
+
 
 class TestResolveBin:
     def test_interior_point(self):

@@ -234,6 +234,17 @@ class TestInspection:
                 assert lst.triples is None
                 assert lst.ids_arr.tolist() == lst.ids
 
+    @pytest.mark.parametrize(
+        "c", [BinCoord(4, 0), BinCoord(-1, 0), BinCoord(0, 4), BinCoord(2, -1)]
+    )
+    def test_bin_lookups_reject_a_bin_outside_the_grid(self, c):
+        # flat-index arithmetic alone would answer (4, 0) with bin (0, 1)'s
+        # list and (-1, 0) with bin (3, 3)'s
+        idx = HierGridIndex(uniform_points(400, seed=2), 4, 4, HierConfig(max_bin_records=8))
+        for lookup in (idx.rendered.at, idx.filled.at, idx.sub_at, idx.shape.bin_rect):
+            with pytest.raises(IndexError, match=rf"\({c.i}, {c.j}\) is outside the 4x4 grid"):
+                lookup(c)
+
     def test_a_built_level_keeps_only_its_bins_and_lists(self):
         # the rendered grid, filled grid and registry are views made on
         # access: a built index holds none of them, nor a dict by list

@@ -566,6 +566,64 @@ class TestSearchMatchesReference:
             assert (got.record, got.distance, got.records_examined, got.short_circuit) == want, q
 
 
+@st.composite
+def _flat_window_cases(draw):
+    """A flat index and queries that miss the short circuit in every way a
+    childless root's window pass can be wrong.
+
+    Gaussian data leaves bins empty, and on a fine grid a gap-filled window
+    bin holds a list rendered outside the window. Lattice data with
+    duplicates puts records at equal distances from a query in different
+    window rows, where bin-major order meets a higher id first. The grids
+    include 1xN, Nx1 and 2x2, whose windows the edges clip. Queries sit on
+    records (their own positions), on the root's bin edges and corners,
+    and anywhere in or near the box."""
+    kind = draw(st.sampled_from(["gaussian", "lattice"]))
+    layout = draw(st.sampled_from(["1xN", "Nx1", "2x2", "NxM"]))
+    k, m = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    dx, dy = {"1xN": (1, k), "Nx1": (k, 1), "2x2": (2, 2), "NxM": (k, m)}[layout]
+    if kind == "gaussian":
+        n = draw(st.integers(30, 400))
+        pts = gaussian_points(n, seed=draw(st.integers(0, 2**16))).positions.tolist()
+    else:  # drawn from a seed: shrunk lattices rarely tie across rows
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = rng.randint(2, 60)
+        pts = [(float(rng.randint(0, 8)), float(rng.randint(0, 8))) for _ in range(n)]
+        pts += rng.choices(pts, k=rng.randint(0, 10))  # duplicates
+    index = GridIndex(PointCollection(pts), dx, dy)
+    shape = index.shape
+    ext = shape.extents
+    xs = [ext.min.x + i * shape.bin_width for i in range(dx)] + [ext.max.x]
+    ys = [ext.min.y + j * shape.bin_height for j in range(dy)] + [ext.max.y]
+    queries = [Point2D(x, y) for x, y in draw(st.lists(st.sampled_from(pts), max_size=8))]
+    for _ in range(draw(st.integers(4, 12))):
+        queries.append(Point2D(draw(st.sampled_from(xs)), draw(st.sampled_from(ys))))
+    frac = st.floats(-0.1, 1.1)
+    for _ in range(draw(st.integers(4, 12))):
+        queries.append(
+            Point2D(ext.min.x + draw(frac) * ext.width, ext.min.y + draw(frac) * ext.height)
+        )
+    if kind == "lattice":  # on and halfway between lattice rows and columns
+        for _ in range(rng.randint(8, 24)):
+            queries.append(Point2D(rng.randint(-1, 17) / 2.0, rng.randint(-1, 17) / 2.0))
+    return index, queries
+
+
+class TestFlatWindowMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_flat_window_cases())
+    def test_record_distance_cost_and_short_circuit_match(self, case):
+        """A childless root scans its whole window in one vector pass over
+        its bin-sorted rows; the reference walks the window's distinct
+        lists one by one. Record (ties to the lowest id), distance,
+        records_examined and short_circuit must agree."""
+        index, queries = case
+        for q in queries:
+            got = index.nearest(q)
+            want = reference_nearest(index, q)
+            assert (got.record, got.distance, got.records_examined, got.short_circuit) == want, q
+
+
 class TestBorderBound:
     """A border visit skips a level whose box is farther than the running
     best, before ranking its ring. reference_nearest ranks every ring it
