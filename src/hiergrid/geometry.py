@@ -78,20 +78,22 @@ class Extents:
         return Extents(Point2D(cx - hw, cy - hh), Point2D(cx + hw, cy + hh))
 
     def inflated_if_degenerate(self) -> "Extents":
-        """Inflate any axis narrower than DEGENERATE_AXIS_EPS by +-pad so grid
-        bins are nonzero; pad is that eps or DEGENERATE_AXIS_REL of the axis'
-        magnitude, whichever is larger."""
-        eps = DEGENERATE_AXIS_EPS
-        x0, x1, y0, y1 = self.min.x, self.max.x, self.min.y, self.max.y
-        if x1 - x0 < eps:
-            pad = max(eps, abs(x0) * DEGENERATE_AXIS_REL, abs(x1) * DEGENERATE_AXIS_REL)
-            x0, x1 = x0 - pad, x1 + pad
-        if y1 - y0 < eps:
-            pad = max(eps, abs(y0) * DEGENERATE_AXIS_REL, abs(y1) * DEGENERATE_AXIS_REL)
-            y0, y1 = y0 - pad, y1 + pad
+        """Each axis inflated by _inflated_axis, so grid bins are nonzero."""
+        x0, x1 = _inflated_axis(self.min.x, self.max.x)
+        y0, y1 = _inflated_axis(self.min.y, self.max.y)
         if (x0, y0) == (self.min.x, self.min.y):
             return self
         return Extents(Point2D(x0, y0), Point2D(x1, y1))
+
+
+def _inflated_axis(lo: float, hi: float) -> tuple[float, float]:
+    """The axis [lo, hi], inflated by +-pad when narrower than
+    DEGENERATE_AXIS_EPS; pad is that eps or DEGENERATE_AXIS_REL of the
+    axis' magnitude, whichever is larger."""
+    if hi - lo < DEGENERATE_AXIS_EPS:
+        pad = max(DEGENERATE_AXIS_EPS, max(abs(lo), abs(hi)) * DEGENERATE_AXIS_REL)
+        return lo - pad, hi + pad
+    return lo, hi
 
 
 class BinCoord(NamedTuple):
@@ -229,10 +231,13 @@ def tight_extents(pts: np.ndarray) -> Extents:
     return ext.inflated_if_degenerate()
 
 
-def segment_extents(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> list[Extents]:
+def segment_extents(
+    xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray
+) -> list[tuple[float, float, float, float]]:
     """tight_extents of every segment [offsets[k], offsets[k + 1]) of the
-    points (xs, ys) at once; offsets ascend from 0 to len(xs) and no segment
-    is empty. The segments lie within one box that tight_extents accepted.
+    points (xs, ys) at once, each as the floats (min x, min y, max x, max y);
+    offsets ascend from 0 to len(xs) and no segment is empty. The segments
+    lie within one box that tight_extents accepted.
 
     Of equal extremes tight_extents' row-by-row reduction keeps the last, so
     a box edge at zero takes the sign of its segment's last zero on that
@@ -251,10 +256,8 @@ def segment_extents(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> list
             edge[at_zero] = v[last_zero[at_zero]]
             edges.append(edge.tolist())
     x0s, x1s, y0s, y1s = edges
-    return [
-        Extents(Point2D(x0, y0), Point2D(x1, y1)).inflated_if_degenerate()
-        for x0, y0, x1, y1 in zip(x0s, y0s, x1s, y1s)
-    ]
+    xr, yr = map(_inflated_axis, x0s, x1s), map(_inflated_axis, y0s, y1s)
+    return [(x0, y0, x1, y1) for (x0, x1), (y0, y1) in zip(xr, yr)]
 
 
 def bounding_extents(points) -> Extents:

@@ -21,8 +21,8 @@ by level, ascending id within each level. One pass over it:
   bin's list, ascending id within it, and each level keeps its lists in
   first-seen id order, as render_point registers them;
 - freezes each list's members: triples below _VECTOR_SCAN_MIN records, else
-  id, x and y arrays (views of the root's grouped arrays on the root, copies
-  on a child level);
+  x and y arrays (views of the root's grouped arrays on the root, copies on
+  a child level) beside the list's ids, its only id store;
 - gap fills every empty bin of every level at once;
 - picks with masks the lists that get a child level. Their records, in the
   same order, are the next depth's input, and their boxes come from one
@@ -103,8 +103,8 @@ class OutsideExtentsError(ValueError):
 
 
 class BinList:
-    """One bin's ordered list of record ids, with its home (the flat index
-    of the bin it was rendered in) and its child level, or None.
+    """One bin's ordered list of record ids (its only id store), with its
+    home (the flat index of the bin it was rendered in) and child level, or None.
 
     Identity-based: every bin the list fills holds this object by
     reference, and scan dedup compares identity, not content. Ids stay
@@ -113,15 +113,13 @@ class BinList:
     only be the last one.
     """
 
-    __slots__ = ("ids", "home", "child", "ids_arr", "xs", "ys", "triples")
+    __slots__ = ("ids", "home", "child", "xs", "ys", "triples")
 
     def __init__(self, ids: list[RecordId], home: int) -> None:
         self.ids = ids
         self.home = home
         self.child: _BuiltState | None = None
-        self.ids_arr: np.ndarray | None = None
-        self.xs: np.ndarray | None = None
-        self.ys: np.ndarray | None = None
+        self.xs = self.ys = None
         self.triples: list[tuple[int, float, float]] | None = None
 
     def append(self, rid: RecordId) -> None:
@@ -133,17 +131,17 @@ class BinList:
         return len(self.ids)
 
     def freeze(self, rows, start: int, end: int, copy: bool) -> None:
-        """Cache the members for the query scans from the slice [start, end)
-        of `rows`, a depth's records grouped by (level, bin): ids, xs and ys
-        as arrays, then xs and ys as lists. A list below _VECTOR_SCAN_MIN
-        records keeps triples, a longer one the arrays' slices, copied when
-        `copy` is set, on a child level, which keeps no arrays for them to
-        view."""
+        """Cache the members' positions for the query scans from the slice
+        [start, end) of `rows`, a depth's records grouped by (level, bin):
+        xs and ys as arrays, then as lists. A list below _VECTOR_SCAN_MIN
+        records keeps (id, x, y) triples, a longer one the arrays' slices,
+        copied when `copy` is set, on a child level, which keeps no arrays
+        for them to view."""
         if end - start < _VECTOR_SCAN_MIN:
-            self.triples = list(zip(self.ids, rows[3][start:end], rows[4][start:end]))
+            self.triples = list(zip(self.ids, rows[2][start:end], rows[3][start:end]))
         else:
-            cut = [a[start:end] for a in rows[:3]]
-            self.ids_arr, self.xs, self.ys = (a.copy() for a in cut) if copy else cut
+            xs, ys = rows[0][start:end], rows[1][start:end]
+            self.xs, self.ys = (xs.copy(), ys.copy()) if copy else (xs, ys)
 
 
 class RenderedGrid:
@@ -318,8 +316,8 @@ class _BuiltState:
     """One grid level; the root level is swapped in atomically.
 
     bins holds the list filling each bin, row-major, and lists the level's
-    lists in first-seen id order; rendered, filled and sub_indexes are
-    views made from them on access.
+    lists in first-seen id order; rendered, filled, sub_indexes and shape
+    are views made on access.
 
     Every level of a build shares the root's size floor and holds root
     record ids. Only the root keeps the positions array, so a child level
@@ -331,8 +329,8 @@ class _BuiltState:
     border scan reads; every other level walks its index's border ring
     through bins.
 
-    min_x .. ny are the shape's own float and int objects, so the level
-    visit reads its box, bin sizes and divisions without a call. On the root
+    min_x .. ny hold the level's box, bin sizes (GridShape's arithmetic) and
+    divisions as plain numbers, which the level visit reads. On the root
     only, ids, xs and ys hold the records grouped by bin (row-major,
     ascending id within a bin), which its long lists view, and starts holds
     each bin's offset into them (one more for the end), for range_query and
@@ -340,33 +338,33 @@ class _BuiltState:
     """
 
     __slots__ = (
-        "shape", "bins", "lists", "positions", "depth", "version", "size_floor",
+        "bins", "lists", "positions", "depth", "version", "size_floor",
         "border_ids", "border_xs", "border_ys", "reused", "min_x", "min_y", "max_x",
         "max_y", "bin_w", "bin_h", "nx", "ny", "ids", "xs", "ys", "starts", "owners",
     )
 
-    def __init__(self, shape: GridShape, depth: int, size_floor: float) -> None:
-        self.shape = shape
+    def __init__(
+        self, box: tuple[float, ...], nx: int, ny: int, depth: int, size_floor: float
+    ) -> None:
+        self.min_x, self.min_y, self.max_x, self.max_y = box
+        self.bin_w, self.bin_h = (self.max_x - self.min_x) / nx, (self.max_y - self.min_y) / ny
+        self.nx, self.ny = nx, ny
         self.bins: list[BinList] | None = None
         self.lists: list[BinList] | None = None
         self.positions: np.ndarray | None = None
         self.depth = depth
         self.version: int | None = None
         self.size_floor = size_floor
-        self.border_ids: np.ndarray | None = None
-        self.border_xs: np.ndarray | None = None
-        self.border_ys: np.ndarray | None = None
+        self.border_ids = self.border_xs = self.border_ys = None
         self.reused: list[_BuiltState] | None = None
-        ext = shape.extents
-        self.min_x, self.min_y = ext.min.x, ext.min.y
-        self.max_x, self.max_y = ext.max.x, ext.max.y
-        self.bin_w, self.bin_h = shape.bin_width, shape.bin_height
-        self.nx, self.ny = shape.divisions_x, shape.divisions_y
-        self.ids: np.ndarray | None = None
-        self.xs: np.ndarray | None = None
-        self.ys: np.ndarray | None = None
+        self.ids = self.xs = self.ys = None
         self.starts: list[int] | None = None
         self.owners: np.ndarray | None = None
+
+    @property
+    def shape(self) -> GridShape:
+        box = Extents(Point2D(self.min_x, self.min_y), Point2D(self.max_x, self.max_y))
+        return GridShape(self.nx, self.ny, box)
 
     @property
     def rendered(self) -> RenderedGrid:
@@ -411,9 +409,9 @@ def _clamp(v: int, lo: int, hi: int) -> int:
     return lo if v < lo else hi if v > hi else v
 
 
-def _bits(ext: Extents, floor: float) -> bytes:
+def _bits(root: _BuiltState) -> bytes:
     """A root's box and size floor as bytes, equal only when bit-identical."""
-    return struct.pack("5d", ext.min.x, ext.min.y, ext.max.x, ext.max.y, floor)
+    return struct.pack("5d", root.min_x, root.min_y, root.max_x, root.max_y, root.size_floor)
 
 
 def _flat_bins(state: _BuiltState, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -460,10 +458,10 @@ def _root_list(root: _BuiltState, home: int, ids: list[RecordId] | None = None) 
     """The list at bin home of a repaired root, frozen from root's
     bin-sorted arrays; ids, when given, is its ids list."""
     s, e = root.starts[home], root.starts[home + 1]
-    cut = (root.ids[s:e], root.xs[s:e], root.ys[s:e])
-    lst = BinList(cut[0].tolist() if ids is None else ids, home)
+    cut = (root.xs[s:e], root.ys[s:e])
+    lst = BinList(root.ids[s:e].tolist() if ids is None else ids, home)
     # only a short list's triples take Python floats
-    floats = (cut[1].tolist(), cut[2].tolist()) if e - s < _VECTOR_SCAN_MIN else ((), ())
+    floats = (cut[0].tolist(), cut[1].tolist()) if e - s < _VECTOR_SCAN_MIN else ((), ())
     lst.freeze((*cut, *floats), 0, e - s, False)
     return lst
 
@@ -490,7 +488,7 @@ def _scan_list(lst: BinList, qx: float, qy: float, best: _Best) -> float:
         d2 = dx * dx + dy * dy
         k = int(d2.argmin())  # first minimum = lowest id (ids ascend)
         m = float(d2[k])
-        mrid = int(lst.ids_arr[k])
+        mrid = lst.ids[k]
     best.offer(m, mrid)
     return m
 
@@ -646,9 +644,11 @@ class GridIndex:
         out: list[tuple[Extents, tuple[RecordId, ...]]] = []
 
         def collect(state: _BuiltState) -> None:
-            for lst, coord in state.rendered.registry.items():
+            shape, nx = state.shape, state.nx
+            for lst in state.lists:  # first-seen order, as the registry's
                 if lst.child is None:
-                    out.append((state.shape.bin_rect(coord), tuple(lst.ids)))
+                    rect = shape.bin_rect(BinCoord(lst.home % nx, lst.home // nx))
+                    out.append((rect, tuple(lst.ids)))
                 else:
                     collect(lst.child)
 
@@ -693,14 +693,15 @@ class GridIndex:
         if old is not None and len(old.positions) != n:
             old = None
         extents = tight_extents(positions)
+        box = (extents.min.x, extents.min.y, extents.max.x, extents.max.y)
         floor = default_smallest_dimension(extents)
-        root = _BuiltState(GridShape(self.divisions_x, self.divisions_y, extents), 0, floor)
+        root = _BuiltState(box, self.divisions_x, self.divisions_y, 0, floor)
         root.positions = positions
         # a repair builds few lists, and a flat build's lists hold every
         # record once: only a fresh tree's lists share one int object per
         # record across depths
         ints = None
-        if old is not None and _bits(extents, floor) == _bits(old.shape.extents, old.size_floor):
+        if old is not None and _bits(root) == _bits(old):
             depth = self._on_after_rebuilt(self._repair(old, root))
         else:
             xs, ys = positions[:, 0], positions[:, 1]
@@ -709,11 +710,11 @@ class GridIndex:
                 ints = np.arange(n).astype(object)
         while depth is not None:
             self._render_records(depth, ints)
-            ids, xs, ys = depth.rows
+            _, xs, ys = depth.rows
             cuts, copy = depth.cuts, depth.levels[0] is not root
             # the short lists' triples take Python floats, converted once
             short = np.diff(cuts).min() < _VECTOR_SCAN_MIN
-            rows = (ids, xs, ys, *((xs.tolist(), ys.tolist()) if short else ((), ())))
+            rows = (xs, ys, *((xs.tolist(), ys.tolist()) if short else ((), ())))
             for lst, start, end in zip(depth.lists, cuts, cuts[1:]):
                 lst.freeze(rows, start, end, copy)
             self._fill_gaps(depth)
@@ -763,7 +764,7 @@ class GridIndex:
         homes = sorted(b for b in touched if sizes[b])
         new = [_root_list(root, b) for b in homes]
         kept = [
-            _root_list(root, lst.home, lst.ids) if lst.ids_arr is not None else lst
+            _root_list(root, lst.home, lst.ids) if lst.xs is not None else lst
             for lst in old.lists
             if lst.home not in touched
         ]
@@ -815,10 +816,7 @@ class GridIndex:
         levels = depth.levels
         nx, ny = self.divisions_x, self.divisions_y
         nb = nx * ny
-        depth.box = [
-            np.array([getattr(lv, name) for lv in levels])
-            for name in ("min_x", "min_y", "bin_w", "bin_h")
-        ]
+        depth.box = list(np.array([(lv.min_x, lv.min_y, lv.bin_w, lv.bin_h) for lv in levels]).T)
         if len(levels) == 1:  # one box: scalars, not per-record gathers
             lv = levels[0]
             level_of, x0, y0, bw, bh = 0, lv.min_x, lv.min_y, lv.bin_w, lv.bin_h
@@ -911,11 +909,10 @@ class GridIndex:
         new, children = [], []
         for r, k, box in zip(runs.tolist(), level_of[runs].tolist(), boxes):
             parent = levels[k]
-            if box != parent.shape.extents:
-                shape = GridShape(parent.nx, parent.ny, box)
+            if box != (parent.min_x, parent.min_y, parent.max_x, parent.max_y):
                 lst = lists[r]
-                lst.child = _BuiltState(shape, parent.depth + 1, floor)
-                lst.ids_arr = lst.xs = lst.ys = lst.triples = None
+                lst.child = _BuiltState(box, parent.nx, parent.ny, parent.depth + 1, floor)
+                lst.xs = lst.ys = lst.triples = None
                 new.append(r)
                 children.append(lst.child)
         if not new:

@@ -310,7 +310,7 @@ class TestBoundingExtents:
         assert len(boxes) == len(sizes)
         for box, start, end in zip(boxes, offsets.tolist(), offsets[1:].tolist()):
             want = tight_extents(np.column_stack((xs[start:end], ys[start:end])))
-            assert _hexes(box) == _hexes(want), (start, end)
+            assert [v.hex() for v in box] == _hexes(want), (start, end)
 
 
 class TestDefaultSmallestDimension:

@@ -178,7 +178,7 @@ class TestRebuild:
             def _fill_gaps(self, depth):
                 # each list keeps one member form: these short ones, tuples
                 assert all(
-                    lst.triples is not None and lst.ids_arr is None for lst in depth.lists
+                    lst.triples is not None and lst.xs is None for lst in depth.lists
                 )
                 events.append(("fill", depth.levels[0].depth))
                 super()._fill_gaps(depth)
@@ -226,13 +226,15 @@ class TestInspection:
         # each list keeps one member form, and both forms occur here
         short = {lst for lst in registry if len(lst) < _VECTOR_SCAN_MIN}
         assert 0 < len(short) < len(registry)
+        pos = idx.ensure_built().positions
         for lst in registry:
             if lst in short:
                 assert lst.triples is not None
-                assert lst.ids_arr is None and lst.xs is None and lst.ys is None
+                assert lst.xs is None and lst.ys is None
             else:
                 assert lst.triples is None
-                assert lst.ids_arr.tolist() == lst.ids
+                assert lst.xs.tolist() == pos[lst.ids, 0].tolist()
+                assert lst.ys.tolist() == pos[lst.ids, 1].tolist()
 
     @pytest.mark.parametrize(
         "c", [BinCoord(4, 0), BinCoord(-1, 0), BinCoord(0, 4), BinCoord(2, -1)]
@@ -246,15 +248,17 @@ class TestInspection:
                 lookup(c)
 
     def test_a_built_level_keeps_only_its_bins_and_lists(self):
-        # the rendered grid, filled grid and registry are views made on
-        # access: a built index holds none of them, nor a dict by list
+        # the rendered grid, filled grid, registry and shape are views made
+        # on access: a built index holds none of them, nor a dict by list,
+        # and its box is numbers, not box objects
+        views = (RenderedGrid, FilledGrid, BinCoord, GridShape, Extents, Point2D)
         for idx in (
             HierGridIndex(uniform_points(2000, seed=5), 2, 2, HierConfig(max_bin_records=1)),
             HierGridIndex(gaussian_points(5000, seed=5), 10, 10, HierConfig(max_bin_records=8)),
         ):
             assert len(idx.sub_indexes) > 1
             objs = reachable(idx)
-            assert not [o for o in objs if isinstance(o, (RenderedGrid, FilledGrid, BinCoord))]
+            assert not [o for o in objs if isinstance(o, views)]
             assert not [
                 o for o in objs if isinstance(o, dict) and any(isinstance(k, BinList) for k in o)
             ]

@@ -205,9 +205,13 @@ class TestLevels:
         root = tree(name).ensure_built()
         long_lists = 0
         for state in levels(root):
+            # the level's bin sizes have its shape's bits
+            shape = state.shape
+            assert state.bin_w.hex() == shape.bin_width.hex(), (name, state.depth)
+            assert state.bin_h.hex() == shape.bin_height.hex(), (name, state.depth)
             members = sorted(rid for lst in state.rendered.registry for rid in lst.ids)
             # registry order and ids equal a render_point loop in id order
-            grid = RenderedGrid(state.shape)
+            grid = RenderedGrid(shape)
             for rid in members:
                 grid.render_point(rid, Point2D(*root.positions[rid].tolist()))
             assert [(c, lst.ids) for lst, c in state.rendered.registry.items()] == [
@@ -216,23 +220,25 @@ class TestLevels:
             # only the root keeps its grouped records as arrays
             assert (state.ids is None) == (state.depth > 0)
             for lst in state.rendered.registry:
-                forms = (lst.triples, lst.ids_arr, lst.xs, lst.ys)
+                forms = (lst.triples, lst.xs, lst.ys)
                 if lst.child is not None:  # queries delegate; no members kept
-                    assert forms == (None,) * 4
+                    assert forms == (None,) * 3
                     continue
-                # one member form: tuples below 24 records, arrays otherwise
-                assert (lst.triples is None) != (lst.ids_arr is None), (name, state.depth)
+                # one member form: tuples below 24 records, arrays otherwise;
+                # ids, a list, is the only id store
+                assert type(lst.ids) is list
+                assert (lst.triples is None) != (lst.xs is None), (name, state.depth)
                 expected = [(rid, *root.positions[rid].tolist()) for rid in lst.ids]
                 if lst.triples is None:
                     assert len(lst) >= 24
-                    got = list(zip(lst.ids_arr.tolist(), lst.xs.tolist(), lst.ys.tolist()))
+                    got = list(zip(lst.ids, lst.xs.tolist(), lst.ys.tolist()))
                     # the root's lists view its arrays; a child's own theirs
-                    bases = {id(a.base) for a in (lst.ids_arr, lst.xs, lst.ys)}
+                    bases = {id(a.base) for a in (lst.xs, lst.ys)}
                     if state.depth:
                         long_lists += 1
                         assert bases == {id(None)}
                     else:
-                        assert bases == {id(root.ids), id(root.xs), id(root.ys)}
+                        assert bases == {id(root.xs), id(root.ys)}
                 else:
                     assert len(lst) < 24 and lst.xs is None and lst.ys is None
                     got = lst.triples

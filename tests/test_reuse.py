@@ -48,8 +48,8 @@ def members(lst):
     """A list's member values as comparable bits: None once subdivided."""
     if lst.triples is not None:
         return repr(lst.triples)
-    if lst.ids_arr is not None:
-        return (lst.ids_arr.tobytes(), lst.xs.tobytes(), lst.ys.tobytes())
+    if lst.xs is not None:
+        return (repr(lst.ids), lst.xs.tobytes(), lst.ys.tobytes())
     return None
 
 
